@@ -81,6 +81,12 @@ func runServeCmd(args []string) error {
 
 	g := topo.Graph()
 	metric := graph.FuncMetric(topo.Dist)
+	// Build the generator first: it rejects a non-positive -rate or
+	// -txns, which the chaos horizon below divides by.
+	gen, err := stream.MakeGenerator(xrand.NewDerived(rootSeed, "serve", "gen", tf.Name), g, wl, *rate, *txns)
+	if err != nil {
+		return err
+	}
 
 	spec, err := cliutil.ParseFaultSpec(*faultsF)
 	if err != nil {
@@ -120,12 +126,11 @@ func runServeCmd(args []string) error {
 
 	col := obs.NewMetricsCollector()
 	cfg := stream.Config{
-		G:          g,
-		Metric:     metric,
-		NumObjects: wl.W,
-		Home:       homes,
-		Source: stream.NewGenerator(
-			xrand.NewDerived(rootSeed, "serve", "gen", tf.Name), g, wl, *rate, *txns),
+		G:             g,
+		Metric:        metric,
+		NumObjects:    wl.W,
+		Home:          homes,
+		Source:        gen,
 		MaxWindow:     *window,
 		QueueCap:      *queue,
 		Policy:        pol,

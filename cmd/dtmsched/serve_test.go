@@ -1,7 +1,9 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -141,6 +143,47 @@ func TestServeFlagErrors(t *testing.T) {
 	} {
 		if err := runServeCmd(append(args, "-txns", "5")); err == nil {
 			t.Errorf("%s: bad flag accepted", name)
+		}
+	}
+}
+
+// TestBadSizesExitTwo runs the binary's main in a child process for size
+// and rate flags that used to panic inside a constructor: each must exit
+// with status 2 and a one-line message naming the bad flag, never a
+// goroutine dump.
+func TestBadSizesExitTwo(t *testing.T) {
+	if args, ok := os.LookupEnv("DTMSCHED_TEST_MAIN_ARGS"); ok {
+		os.Args = append([]string{"dtmsched"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	for _, c := range []struct{ args, msg string }{
+		{"serve -rate -1", "injection rate -1"},
+		{"serve -rate 0 -faults 0.1", "injection rate 0"},
+		{"serve -txns 0", "stream limit 0"},
+		{"serve -topo clique -n 0", "clique -n 0"},
+		{"-topo clique -n 0", "clique -n 0"},
+		{"serve -topo line -n -3", "line -n -3"},
+		{"serve -topo grid -side 0", "grid -side 0"},
+		{"serve -topo torus -side 2", "torus -side 2"},
+		{"serve -topo hypercube -dim -1", "hypercube -dim -1"},
+		{"serve -topo butterfly -dim 0", "butterfly -dim 0"},
+		{"serve -topo cluster -alpha 0", "cluster -alpha 0"},
+		{"serve -topo cluster -gamma 0", "cluster -gamma 0"},
+		{"serve -topo star -beta 0", "star -beta 0"},
+		{"serve -w 4 -k 20", "-w 4 -k 20"},
+		{"-w 3 -k 9", "-w 3 -k 9"},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestBadSizesExitTwo$")
+		cmd.Env = append(os.Environ(), "DTMSCHED_TEST_MAIN_ARGS="+c.args)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("dtmsched %s: %v, want exit status 2\n%s", c.args, err, out)
+			continue
+		}
+		if strings.Contains(string(out), "goroutine ") || !strings.Contains(string(out), c.msg) {
+			t.Errorf("dtmsched %s: output %q, want a message containing %q and no panic", c.args, out, c.msg)
 		}
 	}
 }

@@ -50,8 +50,12 @@ func RegisterTopoFlags(fs *flag.FlagSet, def TopoFlags) *TopoFlags {
 	return tf
 }
 
-// Build resolves the parsed topology flags.
+// Build resolves the parsed topology flags, rejecting shapes the
+// topology constructors cannot build.
 func (tf *TopoFlags) Build() (topology.Topology, error) {
+	if err := tf.checkShape(); err != nil {
+		return nil, err
+	}
 	switch tf.Name {
 	case "clique":
 		return topology.NewClique(tf.N), nil
@@ -78,6 +82,44 @@ func (tf *TopoFlags) Build() (topology.Topology, error) {
 	default:
 		return nil, fmt.Errorf("unknown topology %q (want %s)", tf.Name, TopoNames)
 	}
+}
+
+// checkShape rejects the size flags of tf.Name's topology that its
+// constructor would panic on.
+func (tf *TopoFlags) checkShape() error {
+	atLeast := func(flag string, v, min int64) error {
+		if v < min {
+			return fmt.Errorf("%s -%s %d: want at least %d", tf.Name, flag, v, min)
+		}
+		return nil
+	}
+	switch tf.Name {
+	case "clique", "line":
+		return atLeast("n", int64(tf.N), 1)
+	case "grid":
+		return atLeast("side", int64(tf.Side), 1)
+	case "torus":
+		return atLeast("side", int64(tf.Side), 3)
+	case "hypercube":
+		if tf.Dim < 0 || tf.Dim > 30 {
+			return fmt.Errorf("hypercube -dim %d: want 0..30", tf.Dim)
+		}
+	case "butterfly":
+		if tf.Dim < 1 || tf.Dim > 20 {
+			return fmt.Errorf("butterfly -dim %d: want 1..20", tf.Dim)
+		}
+	case "cluster", "star":
+		if err := atLeast("alpha", int64(tf.Alpha), 1); err != nil {
+			return err
+		}
+		if err := atLeast("beta", int64(tf.Beta), 1); err != nil {
+			return err
+		}
+		if tf.Name == "cluster" {
+			return atLeast("gamma", tf.Gamma, 1)
+		}
+	}
+	return nil
 }
 
 // ParseFogCloudShape parses the fogcloud list flags. An empty weight list
@@ -173,6 +215,13 @@ func RegisterWorkloadFlags(fs *flag.FlagSet, def WorkloadFlags) *WorkloadFlags {
 // the object space by fog subtree, so it needs the fog–cloud topology the
 // instance will be generated on; every other workload ignores topo.
 func (wf *WorkloadFlags) Build(topo topology.Topology) (tm.Workload, error) {
+	switch wf.Name {
+	case "uniform", "zipf", "hotspot", "localized":
+		// The k-object samplers draw k distinct objects out of w.
+		if wf.W < 1 || wf.K < 0 || wf.K > wf.W {
+			return tm.Workload{}, fmt.Errorf("workload %s: -w %d -k %d: want w ≥ 1 and 0 ≤ k ≤ w", wf.Name, wf.W, wf.K)
+		}
+	}
 	switch wf.Name {
 	case "uniform":
 		return tm.UniformK(wf.W, wf.K), nil

@@ -87,8 +87,8 @@ type Fault struct {
 //
 // The step arguments let custom injectors vary state over time, but the
 // contract is piecewise-constant state: between two consecutive Boundaries
-// entries every answer must stay fixed, so the simulator can cache one
-// surviving subgraph per epoch.
+// entries every answer must stay fixed, so the simulator can route every
+// query of an epoch against the state at the epoch's first step.
 type Injector interface {
 	// Empty reports whether the injector can never fire; an empty
 	// injector makes RunFaulty exactly Run.
@@ -155,6 +155,7 @@ type Plan struct {
 // Factor ≥ 2, MoveDrop needs Seq ≥ 0.
 func FromFaults(fs ...Fault) (*Plan, error) {
 	p := &Plan{
+		faults:  make([]Fault, 0, len(fs)),
 		links:   map[linkKey][]linkSpan{},
 		crashes: map[graph.NodeID][]span{},
 		drops:   map[dropKey]struct{}{},

@@ -86,38 +86,44 @@ func New(cfg Config, g *graph.Graph) (*Plan, error) {
 	}
 
 	var fs []Fault
-	// intervals draws every active interval of one fault site. With
-	// Recur = 0 a site draws exactly once over the whole horizon (one
-	// stream per site — the historical plan shape); with Recur > 0 it
-	// draws once per chunk from a per-(site, chunk) stream, each hit
-	// landing inside its own chunk.
-	intervals := func(r float64, kind string, a, b int64, emit func(from, to int64)) {
+	// One stream serves the whole plan, re-seeded per draw: seeding is
+	// O(1) (see xrand.New), so a site-chunk costs its few draws, not a
+	// fresh source.
+	rng := xrand.New(0)
+	// intervals draws every active interval of one fault site and appends
+	// it as a copy of f spanning the interval. With Recur = 0 a site draws
+	// exactly once over the whole horizon from the stream of (Seed,
+	// "faults", kind, a, b) — the historical plan shape; with Recur > 0 it
+	// draws once per chunk from the stream of that path extended by
+	// ("chunk", index), each hit landing inside its own chunk.
+	intervals := func(r float64, kind string, a, b int64, f Fault) {
 		if r <= 0 {
 			return
 		}
+		site := xrand.Prefix(cfg.Seed, "faults", kind).Int(a).Int(b)
 		if cfg.Recur <= 0 {
-			rng := xrand.NewDerived(cfg.Seed, "faults", kind, fmt.Sprint(a), fmt.Sprint(b))
+			rng.Seed(site.Seed())
 			if rng.Float64() >= r {
 				return
 			}
-			from := 1 + rng.Int63n(cfg.Horizon)
-			dur := 1 + rng.Int63n(2*mean)
-			emit(from, from+dur)
+			f.From = 1 + rng.Int63n(cfg.Horizon)
+			f.To = f.From + 1 + rng.Int63n(2*mean)
+			fs = append(fs, f)
 			return
 		}
+		chunks := site.Label("chunk")
 		for start := int64(0); start < cfg.Horizon; start += cfg.Recur {
 			width := cfg.Recur
 			if rem := cfg.Horizon - start; rem < width {
 				width = rem
 			}
-			rng := xrand.NewDerived(cfg.Seed, "faults", kind,
-				fmt.Sprint(a), fmt.Sprint(b), "chunk", fmt.Sprint(start/cfg.Recur))
+			rng.Seed(chunks.WithInt(start / cfg.Recur))
 			if rng.Float64() >= r {
 				continue
 			}
-			from := start + 1 + rng.Int63n(width)
-			dur := 1 + rng.Int63n(2*mean)
-			emit(from, from+dur)
+			f.From = start + 1 + rng.Int63n(width)
+			f.To = f.From + 1 + rng.Int63n(2*mean)
+			fs = append(fs, f)
 		}
 	}
 	if cfg.rated() {
@@ -133,18 +139,12 @@ func New(cfg Config, g *graph.Graph) (*Plan, error) {
 					continue // parallel links fault as one site
 				}
 				seen[k] = struct{}{}
-				intervals(cfg.LinkDownRate, "link-down", int64(k.u), int64(k.v), func(from, to int64) {
-					fs = append(fs, Fault{Kind: LinkDown, From: from, To: to, U: k.u, V: k.v})
-				})
-				intervals(cfg.LinkSlowRate, "link-slow", int64(k.u), int64(k.v), func(from, to int64) {
-					fs = append(fs, Fault{Kind: LinkSlow, From: from, To: to, U: k.u, V: k.v, Factor: factor})
-				})
+				intervals(cfg.LinkDownRate, "link-down", int64(k.u), int64(k.v), Fault{Kind: LinkDown, U: k.u, V: k.v})
+				intervals(cfg.LinkSlowRate, "link-slow", int64(k.u), int64(k.v), Fault{Kind: LinkSlow, U: k.u, V: k.v, Factor: factor})
 			}
 		}
 		for v := 0; v < n; v++ {
-			intervals(cfg.CrashRate, "crash", int64(v), 0, func(from, to int64) {
-				fs = append(fs, Fault{Kind: NodeCrash, From: from, To: to, Node: graph.NodeID(v)})
-			})
+			intervals(cfg.CrashRate, "crash", int64(v), 0, Fault{Kind: NodeCrash, Node: graph.NodeID(v)})
 		}
 	}
 	p, err := FromFaults(fs...)

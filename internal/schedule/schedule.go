@@ -11,8 +11,9 @@
 package schedule
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dtmsched/internal/graph"
 	"dtmsched/internal/tm"
@@ -48,12 +49,11 @@ func (s *Schedule) Order(in *tm.Instance, o tm.ObjectID) []tm.TxnID {
 	users := in.Users(o)
 	out := make([]tm.TxnID, len(users))
 	copy(out, users)
-	sort.Slice(out, func(i, j int) bool {
-		ti, tj := s.Times[out[i]], s.Times[out[j]]
-		if ti != tj {
-			return ti < tj
+	slices.SortFunc(out, func(a, b tm.TxnID) int {
+		if c := cmp.Compare(s.Times[a], s.Times[b]); c != 0 {
+			return c
 		}
-		return out[i] < out[j]
+		return cmp.Compare(a, b)
 	})
 	return out
 }

@@ -36,60 +36,69 @@ const (
 	defaultMaxRetries  = 32
 )
 
-// faultEnv caches one surviving subgraph per fault epoch. Fault state is
-// piecewise-constant between injector boundaries, so each epoch's subgraph
-// (healthy links at original weight, slowed links multiplied, down links
-// and crashed nodes' links removed) is built once and its lazy SSSP cache
-// then serves every reroute query of the epoch.
+// faultEnv answers the simulator's routing queries on the surviving
+// subgraph (healthy links at their weight, slowed links multiplied, down
+// links and crashed nodes removed) without building it. Fault state is
+// piecewise-constant between injector boundaries, so a query at step is
+// answered against the state at the start of step's epoch, in two tiers:
+//
+//  1. Healthy path: walk the base graph's cached shortest path from u to
+//     v; if every node on it is up and every link has factor 1, its base
+//     length is the answer. This is exact: surviving edges never get
+//     cheaper, so no surviving path is shorter.
+//  2. Otherwise an early-exit Dijkstra over the base graph applies the
+//     fault state edge by edge, on scratch arrays reused by every query of
+//     the run.
 type faultEnv struct {
 	in     *tm.Instance
 	inj    faults.Injector
 	bounds []int64
-	epochs []*graph.Graph // lazily built; index 0 covers steps before bounds[0]
+
+	// Dijkstra scratch, allocated by the first search. best[x] is live
+	// only while stamp[x] == gen; a live best of -1 marks x crashed for
+	// the current query.
+	gen   uint32
+	stamp []uint32
+	best  []int64
+	heap  []heapItem
+}
+
+// heapItem is a Dijkstra frontier entry.
+type heapItem struct {
+	d int64
+	x graph.NodeID
 }
 
 func newFaultEnv(in *tm.Instance, inj faults.Injector) *faultEnv {
-	bounds := inj.Boundaries()
-	return &faultEnv{in: in, inj: inj, bounds: bounds, epochs: make([]*graph.Graph, len(bounds)+1)}
+	return &faultEnv{in: in, inj: inj, bounds: inj.Boundaries()}
 }
 
-// epoch returns the index of the epoch containing step.
+// epoch returns the index of the epoch containing step: the number of
+// boundaries at or before it.
 func (e *faultEnv) epoch(step int64) int {
 	return sort.Search(len(e.bounds), func(i int) bool { return e.bounds[i] > step })
 }
 
-// graphAt builds (or returns) the surviving subgraph of epoch ep.
-func (e *faultEnv) graphAt(ep int) *graph.Graph {
-	if g := e.epochs[ep]; g != nil {
-		return g
+// epochStart returns the first step of the epoch containing step.
+func (e *faultEnv) epochStart(step int64) int64 {
+	if i := e.epoch(step); i > 0 {
+		return e.bounds[i-1]
 	}
-	var step int64
-	if ep > 0 {
-		step = e.bounds[ep-1]
+	return 0
+}
+
+// factor is the injector's link factor of {a, b} at step, queried with
+// the endpoints in ascending order.
+func (e *faultEnv) factor(a, b graph.NodeID, step int64) int64 {
+	if a > b {
+		a, b = b, a
 	}
-	src := e.in.G
-	n := src.NumNodes()
-	g := graph.New(n)
-	for u := 0; u < n; u++ {
-		if _, down := e.inj.NodeDownUntil(graph.NodeID(u), step); down {
-			continue
-		}
-		for _, edge := range src.Neighbors(graph.NodeID(u)) {
-			if edge.To <= graph.NodeID(u) {
-				continue
-			}
-			if _, down := e.inj.NodeDownUntil(edge.To, step); down {
-				continue
-			}
-			f := e.inj.LinkFactor(graph.NodeID(u), edge.To, step)
-			if f <= 0 {
-				continue
-			}
-			g.AddEdge(graph.NodeID(u), edge.To, edge.Weight*f)
-		}
-	}
-	e.epochs[ep] = g
-	return g
+	return e.inj.LinkFactor(a, b, step)
+}
+
+func (e *faultEnv) down(v graph.NodeID, step int64) bool {
+	_, down := e.inj.NodeDownUntil(v, step)
+	return down
 }
 
 // dist returns the surviving-subgraph distance between u and v at step,
@@ -98,17 +107,128 @@ func (e *faultEnv) dist(step int64, u, v graph.NodeID) (int64, bool) {
 	if u == v {
 		return 0, true
 	}
-	d := e.graphAt(e.epoch(step)).Dist(u, v)
-	if d == graph.Inf {
+	at := e.epochStart(step)
+	t := e.in.G.Tree(u)
+	if t.Dist[v] == graph.Inf {
 		return 0, false
 	}
-	return d, true
+	if e.healthy(t, v, at) {
+		return t.Dist[v], true
+	}
+	return e.search(at, u, v)
+}
+
+// healthy reports whether the tree path from its source to v survives
+// untouched at step.
+func (e *faultEnv) healthy(t *graph.ShortestPathTree, v graph.NodeID, step int64) bool {
+	for x := v; ; {
+		if e.down(x, step) {
+			return false
+		}
+		if x == t.Source {
+			return true
+		}
+		p := t.Parent[x]
+		if e.factor(p, x, step) != 1 {
+			return false
+		}
+		x = p
+	}
+}
+
+// search is Dijkstra from src over the fault state at step, stopping as
+// soon as dst is settled.
+func (e *faultEnv) search(step int64, src, dst graph.NodeID) (int64, bool) {
+	if e.down(src, step) || e.down(dst, step) {
+		return 0, false
+	}
+	if e.stamp == nil {
+		n := e.in.G.NumNodes()
+		e.stamp, e.best = make([]uint32, n), make([]int64, n)
+	}
+	e.gen++
+	if e.gen == 0 { // wrapped: every stamp is stale again
+		clear(e.stamp)
+		e.gen = 1
+	}
+	e.stamp[src], e.best[src] = e.gen, 0
+	e.heap = append(e.heap[:0], heapItem{0, src})
+	for len(e.heap) > 0 {
+		it := e.pop()
+		if it.d > e.best[it.x] {
+			continue // stale entry
+		}
+		if it.x == dst {
+			return it.d, true
+		}
+		for _, edge := range e.in.G.Neighbors(it.x) {
+			y := edge.To
+			if e.stamp[y] != e.gen {
+				e.stamp[y], e.best[y] = e.gen, graph.Inf
+				if e.down(y, step) {
+					e.best[y] = -1
+				}
+			}
+			// Factors are ≥ 1, so an edge that loses at its base weight
+			// needs no factor lookup.
+			if by := e.best[y]; by < 0 || it.d+edge.Weight >= by {
+				continue
+			}
+			f := e.factor(it.x, y, step)
+			if f <= 0 {
+				continue
+			}
+			if nd := it.d + edge.Weight*f; nd < e.best[y] {
+				e.best[y] = nd
+				e.push(heapItem{nd, y})
+			}
+		}
+	}
+	return 0, false
+}
+
+// push and pop maintain e.heap as a binary min-heap on d.
+func (e *faultEnv) push(it heapItem) {
+	h := append(e.heap, it)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p].d <= h[i].d {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+	e.heap = h
+}
+
+func (e *faultEnv) pop() heapItem {
+	h := e.heap
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].d < h[c].d {
+			c++
+		}
+		if h[i].d <= h[c].d {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	e.heap = h
+	return top
 }
 
 // nextBoundary returns the first fault boundary strictly after step, and
 // false when none remains (the fault state is final from step on).
 func (e *faultEnv) nextBoundary(step int64) (int64, bool) {
-	i := sort.Search(len(e.bounds), func(i int) bool { return e.bounds[i] > step })
+	i := e.epoch(step)
 	if i == len(e.bounds) {
 		return 0, false
 	}

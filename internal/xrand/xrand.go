@@ -6,17 +6,19 @@
 package xrand
 
 import (
-	"hash/fnv"
 	"math/rand"
+	"strconv"
 )
 
 // DefaultSeed is the root seed used by benches and examples when the caller
 // does not supply one.
 const DefaultSeed = 0x5eed_d7a1
 
-// New returns a *rand.Rand seeded with seed.
+// New returns a *rand.Rand seeded with seed. Its stream equals
+// rand.New(rand.NewSource(seed)) draw for draw, but seeding (and
+// re-seeding through Rand.Seed) is O(1): see lazySource.
 func New(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
+	return rand.New(newLazySource(seed))
 }
 
 // Derive deterministically derives a child seed from a root seed and a
@@ -24,24 +26,66 @@ func New(seed int64) *rand.Rand {
 // paths give independent-looking streams; the same path always gives the
 // same stream.
 func Derive(root int64, labels ...string) int64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	u := uint64(root)
-	for i := range buf {
-		buf[i] = byte(u >> (8 * i))
-	}
-	h.Write(buf[:])
-	for _, l := range labels {
-		h.Write([]byte{0xff}) // separator so ("ab","c") != ("a","bc")
-		h.Write([]byte(l))
-	}
-	return int64(h.Sum64())
+	return Prefix(root, labels...).Seed()
 }
 
 // NewDerived is New(Derive(root, labels...)).
 func NewDerived(root int64, labels ...string) *rand.Rand {
 	return New(Derive(root, labels...))
 }
+
+// Path is a label path hashed up to some prefix: the FNV-64a state Derive
+// reaches after the root seed and the prefix labels. Extending a Path
+// costs only the new labels' bytes, so a loop deriving one seed per
+// (site, chunk) hashes the shared prefix once and allocates nothing:
+//
+//	Derive(root, a, b, c) == Prefix(root, a, b).With(c)
+type Path uint64
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+	labelSep  = 0xff // so ("ab","c") != ("a","bc")
+)
+
+// Prefix hashes the root seed and labels.
+func Prefix(root int64, labels ...string) Path {
+	h := uint64(fnvOffset)
+	u := uint64(root)
+	for i := 0; i < 8; i++ {
+		h = (h ^ (u>>(8*i))&0xff) * fnvPrime
+	}
+	p := Path(h)
+	for _, l := range labels {
+		p = p.Label(l)
+	}
+	return p
+}
+
+// Label extends the path by one label.
+func (p Path) Label(l string) Path {
+	h := (uint64(p) ^ labelSep) * fnvPrime
+	for i := 0; i < len(l); i++ {
+		h = (h ^ uint64(l[i])) * fnvPrime
+	}
+	return Path(h)
+}
+
+// Int extends the path by the decimal label of n, as fmt.Sprint(n) spells
+// it.
+func (p Path) Int(n int64) Path {
+	var buf [20]byte
+	return p.Label(string(strconv.AppendInt(buf[:0], n, 10)))
+}
+
+// Seed returns the derived seed of the path.
+func (p Path) Seed() int64 { return int64(p) }
+
+// With returns the seed of the path extended by label l.
+func (p Path) With(l string) int64 { return p.Label(l).Seed() }
+
+// WithInt returns the seed of the path extended by the decimal label of n.
+func (p Path) WithInt(n int64) int64 { return p.Int(n).Seed() }
 
 // GeometricGap samples a discrete inter-arrival gap for a Bernoulli
 // (discrete-time Poisson) arrival process of the given rate: the number

@@ -147,6 +147,25 @@ grep -q 'requeued=[1-9]' "$chaos_tmp/chaos1.txt" || { echo "serve: chaos run nev
 go test ./cmd/dtmsched -run 'TestServeChaosSmoke' -count=1
 rm -rf "$chaos_tmp"
 
+echo "== chaos fast-path guards =="
+# Chaos plans and faulty routing take shortcuts that must not change a
+# bit: the lazy xrand source must equal math/rand draw for draw (across
+# its handoff to a real source, and under re-seeding), a hashed label
+# prefix must equal Derive, and faultEnv.dist must equal shortest paths on
+# the materialized surviving subgraph. The per-layer chaos benchmarks
+# must at least compile and run (1 iteration smoke), and the 20k-txn
+# clique-64 chaos run keeps its digest (and now takes about a second).
+go test ./internal/xrand -run 'TestLazySourceMatchesMathRand|TestRegistersMatchMathRand|TestLazySourceDerivedDistributions|TestPrefixMatchesDerive' -count=1
+go test ./internal/sim -run 'TestFaultEnvDistMatchesSurvivingGraph' -count=1
+go test ./internal/stream -run '^$' -bench 'BenchmarkChaosPlan|BenchmarkServeChaos' -benchmem -benchtime 1x -count=1 >/dev/null
+go test ./internal/sim -run '^$' -bench 'BenchmarkRunFaulty' -benchmem -benchtime 1x -count=1 >/dev/null
+scale_out=$(go run ./cmd/dtmsched serve -topo clique -n 64 -txns 20000 -seed 1 -faults 0.1,1)
+grep -q 'digest=df12bc6d544ac3b6' <<<"$scale_out" || {
+    echo "serve: 20k-txn clique-64 chaos digest drifted from df12bc6d544ac3b6" >&2
+    echo "$scale_out" >&2
+    exit 1
+}
+
 echo "== hierarchical scheduler guards =="
 # The subtree-sharded scheduler writes disjoint slices of one schedule
 # from concurrent shard workers — the whole package must be race-clean —
