@@ -236,8 +236,9 @@ func BenchmarkLowerBound(b *testing.B) {
 
 // BenchmarkLowerCompute compares the certified-bound cost tiers on one
 // instance: the serial witness computation, the worker-pooled variant,
-// and a warm oracle hit (the steady state of batch sweeps, where jobs
-// sharing an instance pay a pointer load).
+// the serial pruned scalar path (what engine oracles compute), and a warm
+// oracle hit (the steady state of batch sweeps, where jobs sharing an
+// instance pay a pointer load).
 func BenchmarkLowerCompute(b *testing.B) {
 	in := cliqueInstance(256, 64, 2)
 	b.Run("serial", func(b *testing.B) {
@@ -250,6 +251,12 @@ func BenchmarkLowerCompute(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			lower.ComputeOpts(in, lower.Options{Workers: 4, Witness: true})
+		}
+	})
+	b.Run("scalar", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			lower.ComputeOpts(in, lower.Options{})
 		}
 	})
 	b.Run("oracle-warm", func(b *testing.B) {

@@ -319,7 +319,7 @@ func main() {
 		// bound query of the experiment shares it (k algorithms × t trials
 		// on one instance compute the bound once), while its instances
 		// stay collectable after the experiment ends.
-		cfg.LowerOracle = lower.NewOracle(lower.Options{Workers: cfg.LowerWorkers, Witness: true})
+		cfg.LowerOracle = lower.NewOracle(lower.Options{Workers: cfg.LowerWorkers})
 		res, err := e.Run(cfg)
 		if err != nil {
 			if ctx.Err() != nil {

@@ -58,7 +58,8 @@ type Options struct {
 	// a shared per-instance cache (jobs with their own Job.LowerOracle
 	// keep it). Nil gets a fresh oracle scoped to this batch, so sweeps
 	// running k algorithms × t trials against one instance compute its
-	// bound once; the batch scope keeps retired instances collectable.
+	// scalar bound once; the batch scope keeps retired instances
+	// collectable.
 	LowerOracle *lower.Oracle
 	// LowerWorkers is the worker count for bound computations the batch
 	// oracle performs on a miss (≤ 1 = serial). Only consulted when
@@ -148,7 +149,7 @@ func RunBatch(ctx context.Context, jobs []Job, opt Options) ([]JobResult, error)
 	}
 	oracle := opt.LowerOracle
 	if oracle == nil {
-		oracle = lower.NewOracle(lower.Options{Workers: opt.LowerWorkers, Witness: true})
+		oracle = lower.NewOracle(lower.Options{Workers: opt.LowerWorkers})
 	}
 	results := make([]JobResult, len(jobs))
 	var next atomic.Int64

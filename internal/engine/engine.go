@@ -145,8 +145,8 @@ type Job struct {
 	// LowerOracle, when set, serves the Measure stage's certified bound
 	// from a per-instance cache, so jobs sharing an Instance compute it
 	// once. RunBatch jobs without their own oracle inherit the batch
-	// oracle (see Options.LowerOracle); plain Run computes directly when
-	// nil. Cache hits are visible on the collector's lower_* counters —
+	// oracle (see Options.LowerOracle); plain Run computes the scalar
+	// bound directly when nil. Cache hits are visible on the collector's lower_* counters —
 	// never on the Report, which stays byte-identical either way.
 	LowerOracle *lower.Oracle
 	// Faults, when set to a non-empty injector, replays the schedule
@@ -213,7 +213,9 @@ type Report struct {
 	// Makespan is the schedule's execution time (Definition 1).
 	Makespan int64
 	// Bound is the instance's certified lower bound (zero when
-	// SkipLowerBound was set).
+	// SkipLowerBound was set). It is the scalar bound — PerObject,
+	// MaxWalkUB and MaxTour* zero — unless Job.LowerOracle was built
+	// with lower.Options.Witness.
 	Bound lower.Bound
 	// Ratio is Makespan / Bound.Value (0 when the bound is unavailable).
 	Ratio float64
@@ -411,7 +413,7 @@ func run(ctx context.Context, idx int, job Job, hook Hook, col *obs.Collector) (
 			b, hit = job.LowerOracle.Get(in)
 			rep.Bound = *b
 		} else {
-			rep.Bound = lower.Compute(in)
+			rep.Bound = lower.ComputeOpts(in, lower.Options{})
 		}
 		if rep.Bound.Value > 0 {
 			rep.Ratio = float64(rep.Makespan) / float64(rep.Bound.Value)

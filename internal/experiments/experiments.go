@@ -92,9 +92,9 @@ type Config struct {
 	HierWorkers int
 }
 
-// bound returns the certified lower bound for in, through the shared
-// oracle when one is configured, else a direct witness-free computation
-// (the experiments' own queries only read the scalar fields).
+// bound returns the certified scalar lower bound for in, through the
+// shared oracle when one is configured, else a direct computation. Only
+// Value, MaxUse, MaxWalkLB and the object counts are filled.
 func (c Config) bound(in *tm.Instance) lower.Bound {
 	if c.LowerOracle != nil {
 		b, _ := c.LowerOracle.Get(in)

@@ -17,10 +17,23 @@
 // The bound depends only on the instance, so the package provides three
 // cost tiers: Compute (serial, full witnesses — the original API),
 // ComputeOpts (worker-pooled per-object solves with a canonical-site-set
-// memo and an optional witness-free fast path), and Oracle (per-instance
-// one-shot publication so repeated queries for the same instance cost a
-// pointer load). All three produce byte-identical Bound values for a
-// given instance at every worker count.
+// memo), and Oracle (per-instance single-flight computation and
+// publication, so repeated queries for the same instance cost a pointer
+// load). Every tier gives a byte-identical Bound for a given instance and
+// Options at every worker count.
+//
+// ComputeOpts has two paths, chosen by Options.Witness:
+//
+//   - the witness path solves every object's walk and its TSP tour
+//     (Theorem 6's measure) and fills PerObject, MaxWalkUB and MaxTour*;
+//   - the scalar path solves walks only, and only those that can raise
+//     the maximum. Each walk first gets a certified bracket MST ≤ walk ≤ UB
+//     (tsp.Solver.WalkBracket); walks are visited by descending UB, and a
+//     walk whose UB is at most the largest walk LB found so far is
+//     skipped, since its LB ≤ UB cannot raise that maximum. Held–Karp
+//     runs only on the open brackets left. Value, MaxUse, MaxWalkLB,
+//     ExactObjects and BoundedObjects equal the witness path's;
+//     MaxWalkUB, MaxTourLB, MaxTourUB and PerObject are left zero.
 package lower
 
 import (
@@ -65,29 +78,35 @@ type Bound struct {
 	// MaxUse is ℓ.
 	MaxUse int
 	// MaxWalkLB / MaxWalkUB bracket the longest shortest object walk.
+	// MaxWalkUB is zero on the scalar path (Options.Witness false).
 	MaxWalkLB, MaxWalkUB int64
 	// MaxTourLB / MaxTourUB bracket the longest optimal object TSP tour.
+	// Both are zero on the scalar path.
 	MaxTourLB, MaxTourUB int64
-	// ExactObjects counts requested objects whose walk was solved
-	// exactly (≤ tsp.ExactLimit requesters); BoundedObjects counts those
-	// that got MST/heuristic bounds instead.
+	// ExactObjects counts requested objects whose walk is solved exactly
+	// (≤ tsp.ExactLimit unique requester sites besides the home);
+	// BoundedObjects counts those that get MST/heuristic bounds instead.
+	// Both count by site set, so they are the same on either path even
+	// though the scalar path skips most solves.
 	ExactObjects, BoundedObjects int
 	// PerObject has one entry per object that is requested at all.
-	// Empty when the bound was computed witness-free (Options.Witness
-	// false); the scalar fields above are always populated.
+	// Empty on the scalar path.
 	PerObject []ObjectDetail
 }
 
-// Options controls how ComputeOpts runs. The zero value reproduces the
-// historical Compute behavior minus witnesses.
+// Options controls how ComputeOpts runs. The zero value is the serial
+// scalar path.
 type Options struct {
 	// Workers is the number of goroutines solving per-object TSP work;
 	// values ≤ 1 solve serially. The resulting Bound is byte-identical
 	// at every worker count.
 	Workers int
-	// Witness populates Bound.PerObject. Callers that only need the
-	// scalar bound (engines computing ratios) leave it false and skip
-	// the per-object allocation.
+	// Witness selects the witness path: every object's walk and tour
+	// solved, Bound.PerObject, MaxWalkUB and MaxTour* filled. Left false,
+	// ComputeOpts takes the pruned scalar path, which solves only the
+	// walks that can raise the bound and leaves those fields zero;
+	// callers that only need Value, MaxUse, MaxWalkLB or the object
+	// counts (engines computing ratios) should leave it false.
 	Witness bool
 }
 
@@ -110,17 +129,21 @@ type solveItem struct {
 	res   tsp.Bounds
 }
 
-// objRef ties a requested object to its walk and tour items.
+// objRef ties a requested object to its walk and tour items. exact
+// reports whether the walk's unique non-home site count is within
+// tsp.ExactLimit, which is exactly when tsp.Solver.Walk solves it by
+// Held–Karp; tourI is -1 on the scalar path.
 type objRef struct {
 	obj          tm.ObjectID
 	users        int
+	exact        bool
 	walkI, tourI int
 }
 
-// ComputeOpts derives the certified bound for an instance. Per-object
-// walk/tour solves fan over opt.Workers goroutines (each with its own
-// reusable tsp.Solver) and merge deterministically in object order, so
-// the result is byte-identical to the serial computation at every worker
+// ComputeOpts derives the certified bound for an instance, on one of two
+// paths chosen by opt.Witness. Per-object solves fan over opt.Workers
+// goroutines (each with its own reusable tsp.Solver), and either path's
+// result is byte-identical to its serial computation at every worker
 // count.
 func ComputeOpts(in *tm.Instance, opt Options) Bound {
 	var (
@@ -165,8 +188,8 @@ func ComputeOpts(in *tm.Instance, opt Options) Bound {
 				walkUniq++
 			}
 		}
-		walkI := -1
-		if walkUniq <= tsp.ExactLimit {
+		ref := objRef{obj: oid, users: len(users), exact: walkUniq <= tsp.ExactLimit, tourI: -1}
+		if ref.exact {
 			keyBuf = keyBuf[:0]
 			keyBuf = binary.LittleEndian.AppendUint64(keyBuf, uint64(home))
 			for _, v := range uniq {
@@ -175,7 +198,7 @@ func ComputeOpts(in *tm.Instance, opt Options) Bound {
 				}
 			}
 			if i, ok := walkMemo[string(keyBuf)]; ok {
-				walkI = i
+				ref.walkI = i
 			} else {
 				set := make([]graph.NodeID, 0, walkUniq)
 				for _, v := range uniq {
@@ -183,101 +206,162 @@ func ComputeOpts(in *tm.Instance, opt Options) Bound {
 						set = append(set, v)
 					}
 				}
-				walkI = len(items)
+				ref.walkI = len(items)
 				items = append(items, solveItem{walk: true, home: home, sites: set})
-				walkMemo[string(keyBuf)] = walkI
+				walkMemo[string(keyBuf)] = ref.walkI
 			}
 		} else {
-			walkI = len(items)
+			ref.walkI = len(items)
 			items = append(items, solveItem{walk: true, home: home, sites: sites})
 		}
 
-		// Tour: no fixed root; the canonical set is the whole site set.
-		tourI := -1
-		if len(uniq) <= tsp.ExactLimit {
+		// Tour (witness path only): no fixed root; the canonical set is
+		// the whole site set.
+		switch {
+		case !opt.Witness:
+		case len(uniq) <= tsp.ExactLimit:
 			keyBuf = keyBuf[:0]
 			for _, v := range uniq {
 				keyBuf = binary.LittleEndian.AppendUint64(keyBuf, uint64(v))
 			}
 			if i, ok := tourMemo[string(keyBuf)]; ok {
-				tourI = i
+				ref.tourI = i
 			} else {
-				tourI = len(items)
+				ref.tourI = len(items)
 				items = append(items, solveItem{sites: append([]graph.NodeID(nil), uniq...)})
-				tourMemo[string(keyBuf)] = tourI
+				tourMemo[string(keyBuf)] = ref.tourI
 			}
-		} else {
-			tourI = len(items)
+		default:
+			ref.tourI = len(items)
 			items = append(items, solveItem{sites: sites})
 		}
 
-		refs = append(refs, objRef{obj: oid, users: len(users), walkI: walkI, tourI: tourI})
+		refs = append(refs, ref)
 	}
-
-	solveAll(in.Metric, items, opt.Workers)
 
 	b := Bound{}
 	if opt.Witness {
+		solveAll(in.Metric, items, opt.Workers)
 		b.PerObject = make([]ObjectDetail, 0, len(refs))
+	} else {
+		b.MaxWalkLB = maxWalkLB(in.Metric, items, opt.Workers)
 	}
 	for _, r := range refs {
+		if r.exact {
+			b.ExactObjects++
+		} else {
+			b.BoundedObjects++
+		}
+		if r.users > b.MaxUse {
+			b.MaxUse = r.users
+		}
+		if !opt.Witness {
+			continue
+		}
 		d := ObjectDetail{
 			Object: r.obj,
 			Users:  r.users,
 			Walk:   items[r.walkI].res,
 			Tour:   items[r.tourI].res,
 		}
-		if opt.Witness {
-			b.PerObject = append(b.PerObject, d)
-		}
-		if d.Walk.Exact {
-			b.ExactObjects++
-		} else {
-			b.BoundedObjects++
-		}
-		if d.Users > b.MaxUse {
-			b.MaxUse = d.Users
-		}
-		if d.Walk.LB > b.MaxWalkLB {
-			b.MaxWalkLB = d.Walk.LB
-		}
-		if d.Walk.UB > b.MaxWalkUB {
-			b.MaxWalkUB = d.Walk.UB
-		}
-		if d.Tour.LB > b.MaxTourLB {
-			b.MaxTourLB = d.Tour.LB
-		}
-		if d.Tour.UB > b.MaxTourUB {
-			b.MaxTourUB = d.Tour.UB
-		}
-		if lb := d.LB(); lb > b.Value {
-			b.Value = lb
-		}
+		b.PerObject = append(b.PerObject, d)
+		b.MaxWalkLB = max(b.MaxWalkLB, d.Walk.LB)
+		b.MaxWalkUB = max(b.MaxWalkUB, d.Walk.UB)
+		b.MaxTourLB = max(b.MaxTourLB, d.Tour.LB)
+		b.MaxTourUB = max(b.MaxTourUB, d.Tour.UB)
 	}
+	b.Value = max(int64(b.MaxUse), b.MaxWalkLB)
 	if b.Value < 1 && in.NumTxns() > 0 {
 		b.Value = 1
 	}
 	return b
 }
 
-// solveAll fills every item's res, fanning over workers goroutines (each
-// with a private reusable solver) when workers > 1. Item results are
-// independent of scheduling, so any interleaving yields the same Bound.
+// solveAll fills every item's res, fanning over workers goroutines.
+// Item results are independent of scheduling, so any interleaving yields
+// the same Bound.
 func solveAll(m graph.Metric, items []solveItem, workers int) {
-	if workers <= 1 || len(items) < 2 {
+	forEach(len(items), workers, func(s *tsp.Solver, i int) bool {
+		it := &items[i]
+		if it.walk {
+			it.res = s.Walk(m, it.home, it.sites)
+		} else {
+			it.res = s.Tour(m, it.sites)
+		}
+		return true
+	})
+}
+
+// maxWalkLB returns the largest walk lower bound over the walk items —
+// exactly what solving every item with tsp.Solver.Walk and taking the
+// maximum LB would give — while solving as few items as it can. Every
+// item first gets a cheap certified bracket (tsp.Solver.WalkBracket):
+// MST ≤ optimal walk ≤ UB. The running maximum starts at the largest
+// bracket LB, which is already the final LB of every item over
+// tsp.ExactLimit (Walk's LB there is the same MST). Items are then
+// visited in descending-UB order and Held–Karp runs only on an item whose
+// bracket is open and whose UB exceeds the running maximum: any other
+// item's LB is ≤ its UB ≤ the maximum, so it cannot raise it. Since UBs
+// only fall and the maximum only rises, the first skipped item ends the
+// scan. The maximum only ever holds true item LBs, and the item attaining
+// the true maximum is either solved or skipped at a maximum already equal
+// to it, so the result is the same at every worker count and in every
+// interleaving.
+func maxWalkLB(m graph.Metric, items []solveItem, workers int) int64 {
+	forEach(len(items), workers, func(s *tsp.Solver, i int) bool {
+		it := &items[i]
+		it.res = s.WalkBracket(m, it.home, it.sites)
+		return true
+	})
+	var start int64
+	order := make([]int, len(items))
+	for i := range items {
+		order[i] = i
+		start = max(start, items[i].res.LB)
+	}
+	var best atomic.Int64
+	best.Store(start)
+	sort.Slice(order, func(a, b int) bool {
+		ua, ub := items[order[a]].res.UB, items[order[b]].res.UB
+		return ua > ub || ua == ub && order[a] < order[b]
+	})
+	forEach(len(order), workers, func(s *tsp.Solver, k int) bool {
+		it := &items[order[k]]
+		if it.res.UB <= best.Load() {
+			return false
+		}
+		// A closed bracket is the item's LB; so is the MST of an item
+		// past the Held–Karp limit (exact items hold their canonical
+		// set, bounded ones their longer raw site sequence).
+		if it.res.Exact || len(it.sites) > tsp.ExactLimit {
+			return true
+		}
+		lb := s.Walk(m, it.home, it.sites).LB
+		for cur := best.Load(); lb > cur; cur = best.Load() {
+			if best.CompareAndSwap(cur, lb) {
+				break
+			}
+		}
+		return true
+	})
+	return best.Load()
+}
+
+// forEach calls f(s, i) for every i in [0, n) until f returns false,
+// fanning over up to workers goroutines (≤ 1 runs serially), each with a
+// private reusable solver s. A worker whose f returns false stops pulling
+// indices; the others stop at their own false or when the indices run
+// out.
+func forEach(n, workers int, f func(s *tsp.Solver, i int) bool) {
+	workers = min(workers, n)
+	if workers <= 1 {
 		s := tsp.NewSolver()
-		for i := range items {
-			it := &items[i]
-			if it.walk {
-				it.res = s.Walk(m, it.home, it.sites)
-			} else {
-				it.res = s.Tour(m, it.sites)
+		for i := 0; i < n; i++ {
+			if !f(s, i) {
+				return
 			}
 		}
 		return
-	}
-	if workers > len(items) {
-		workers = len(items)
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -288,14 +372,8 @@ func solveAll(m graph.Metric, items []solveItem, workers int) {
 			s := tsp.NewSolver()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(items) {
+				if i >= n || !f(s, i) {
 					return
-				}
-				it := &items[i]
-				if it.walk {
-					it.res = s.Walk(m, it.home, it.sites)
-				} else {
-					it.res = s.Tour(m, it.sites)
 				}
 			}
 		}()

@@ -12,12 +12,12 @@ import (
 // against the same instance and historically recomputed it per job; the
 // oracle makes every query after the first a lock-free pointer load.
 //
-// Publication mirrors the graph package's shortest-path tree cache:
-// each instance gets an entry holding an atomic.Pointer[Bound]; the
-// first queries race to compute and CAS-publish, losers adopt the
-// winner's pointer, so duplicate work is bounded by the number of
-// concurrent first queries and the published Bound is immutable
-// thereafter. Warm lookups allocate nothing.
+// Each instance gets an entry whose bound is computed exactly once: the
+// first query runs ComputeOpts under the entry's sync.Once, concurrent
+// first queries for the same instance wait for it instead of duplicating
+// the Held–Karp work, and the result is published through an
+// atomic.Pointer[Bound] so every later query is a lock-free pointer load
+// that allocates nothing. The published Bound is immutable.
 //
 // The oracle holds its instances live; scope one per batch or sweep
 // rather than per process so retired instances can be collected.
@@ -30,7 +30,8 @@ type Oracle struct {
 }
 
 type oracleEntry struct {
-	b atomic.Pointer[Bound]
+	once sync.Once
+	b    atomic.Pointer[Bound]
 }
 
 // NewOracle returns an oracle computing misses with ComputeOpts(in, opt).
@@ -39,7 +40,8 @@ func NewOracle(opt Options) *Oracle {
 }
 
 // Get returns the instance's certified bound and whether it was served
-// from cache. The returned Bound is shared and must not be mutated.
+// from cache; only the one query that computed the bound reports false.
+// The returned Bound is shared and must not be mutated.
 func (o *Oracle) Get(in *tm.Instance) (*Bound, bool) {
 	if ei, ok := o.entries.Load(in); ok {
 		if b := ei.(*oracleEntry).b.Load(); b != nil {
@@ -49,19 +51,17 @@ func (o *Oracle) Get(in *tm.Instance) (*Bound, bool) {
 	}
 	ei, _ := o.entries.LoadOrStore(in, &oracleEntry{})
 	e := ei.(*oracleEntry)
-	if b := e.b.Load(); b != nil {
+	computed := false
+	e.once.Do(func() {
+		b := ComputeOpts(in, o.opt)
+		o.computations.Add(1)
+		e.b.Store(&b)
+		computed = true
+	})
+	if !computed {
 		o.hits.Add(1)
-		return b, true
 	}
-	b := ComputeOpts(in, o.opt)
-	o.computations.Add(1)
-	if e.b.CompareAndSwap(nil, &b) {
-		return &b, false
-	}
-	// A concurrent first query published first; adopt its bound (the
-	// values are identical — ComputeOpts is deterministic) so every
-	// caller shares one witness allocation.
-	return e.b.Load(), false
+	return e.b.Load(), !computed
 }
 
 // Stats reports how many bounds were computed versus served from cache.

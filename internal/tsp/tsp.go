@@ -9,6 +9,8 @@
 // sets are solved exactly with Held–Karp dynamic programming; larger sets
 // get certified bounds: MST weight ≤ optimal walk ≤ optimal tour ≤ 2·MST,
 // with a nearest-neighbor + 2-opt heuristic tightening the upper side.
+// Solver.WalkBracket returns that certified bracket at any size without
+// solving exactly, so callers can skip exact solves that cannot matter.
 //
 // The Held–Karp tables are the hot allocation of the whole measurement
 // path (2^q·q int64 cells per solve — 8 MiB at q = 16), so the exact
@@ -46,7 +48,10 @@ type Bounds struct {
 type Solver struct {
 	dp    []int64        // Held–Karp table, 2^q·q cells
 	d     []int64        // flat pairwise distances, row-major
+	best  []int64        // Prim's per-node attachment costs
 	uniq  []graph.NodeID // dedupe output buffer
+	rest  []graph.NodeID // nearest-neighbor unvisited sites
+	path  []graph.NodeID // nearest-neighbor / 2-opt path
 	stamp []int64        // per-node visit stamps for O(q) dedupe
 	epoch int64
 }
@@ -71,15 +76,40 @@ func (s *Solver) Walk(m graph.Metric, home graph.NodeID, sites []graph.NodeID) B
 		opt := s.heldKarpPath(m, home, sites)
 		return Bounds{LB: opt, UB: opt, Exact: true}
 	}
-	all := append([]graph.NodeID{home}, sites...)
-	mst := MSTWeight(m, all)
-	path := nearestNeighborPath(m, home, sites)
-	path = twoOptPath(m, home, path)
-	ub := pathLen(m, home, path)
+	mst := s.mst(m, home, sites)
+	ub := s.heuristicWalk(m, home, sites)
 	if double := 2 * mst; double < ub {
 		ub = double
 	}
 	return Bounds{LB: mst, UB: ub}
+}
+
+// WalkBracket brackets the shortest home-rooted walk through sites
+// without solving it exactly, at any site count: LB is the minimum
+// spanning tree weight over home and the sites (every walk through them
+// contains a spanning tree), UB the shorter of a nearest-neighbor + 2-opt
+// walk and 2·MST (the tree walked depth-first). Exact reports a closed
+// bracket (LB == UB); the heuristic is skipped when 2·MST already closes
+// it. It costs O(q²) distance queries and, on a warm solver, allocates
+// nothing — the cheap certificate that lets callers skip Held–Karp solves
+// that cannot change a maximum.
+func (s *Solver) WalkBracket(m graph.Metric, home graph.NodeID, sites []graph.NodeID) Bounds {
+	sites = s.dedupe(sites, home)
+	switch len(sites) {
+	case 0:
+		return Bounds{Exact: true}
+	case 1:
+		d := m.Dist(home, sites[0])
+		return Bounds{LB: d, UB: d, Exact: true}
+	}
+	mst := s.mst(m, home, sites)
+	ub := 2 * mst
+	if ub > mst {
+		if h := s.heuristicWalk(m, home, sites); h < ub {
+			ub = h
+		}
+	}
+	return Bounds{LB: mst, UB: ub, Exact: mst == ub}
 }
 
 // Tour bounds the optimal closed TSP tour through all sites (no fixed
@@ -98,8 +128,8 @@ func (s *Solver) Tour(m graph.Metric, sites []graph.NodeID) Bounds {
 		opt := s.heldKarpTour(m, sites)
 		return Bounds{LB: opt, UB: opt, Exact: true}
 	}
-	mst := MSTWeight(m, sites)
-	path := nearestNeighborPath(m, sites[0], sites[1:])
+	mst := s.mst(m, sites[0], sites[1:])
+	path := s.nearestNeighborPath(m, sites[0], sites[1:])
 	path = twoOptPath(m, sites[0], path)
 	var ub int64 = m.Dist(sites[0], path[len(path)-1])
 	ub += pathLen(m, sites[0], path)
@@ -126,13 +156,27 @@ func Tour(m graph.Metric, sites []graph.NodeID) Bounds {
 // MSTWeight returns the minimum spanning tree weight over sites under
 // metric m, via Prim's algorithm in O(q²) time and O(q) space.
 func MSTWeight(m graph.Metric, sites []graph.NodeID) int64 {
-	q := len(sites)
-	if q <= 1 {
+	if len(sites) <= 1 {
 		return 0
 	}
+	var s Solver
+	return s.mst(m, sites[0], sites[1:])
+}
+
+// mst returns the minimum spanning tree weight over root and sites (Prim's
+// algorithm, O(q²) time) on the solver's scratch. The weight of a minimum
+// spanning tree does not depend on the order of its nodes.
+func (s *Solver) mst(m graph.Metric, root graph.NodeID, sites []graph.NodeID) int64 {
+	q := len(sites) + 1
 	const inf = int64(math.MaxInt64)
-	inTree := make([]bool, q)
-	best := make([]int64, q)
+	best := growI64(s.best, q) // best[i] < 0 marks node i as in the tree
+	s.best = best
+	at := func(i int) graph.NodeID {
+		if i == 0 {
+			return root
+		}
+		return sites[i-1]
+	}
 	for i := range best {
 		best[i] = inf
 	}
@@ -141,15 +185,16 @@ func MSTWeight(m graph.Metric, sites []graph.NodeID) int64 {
 	for iter := 0; iter < q; iter++ {
 		u, bu := -1, inf
 		for i := 0; i < q; i++ {
-			if !inTree[i] && best[i] < bu {
-				u, bu = i, best[i]
+			if b := best[i]; b >= 0 && b < bu {
+				u, bu = i, b
 			}
 		}
-		inTree[u] = true
+		best[u] = -1
 		total += bu
+		nu := at(u)
 		for i := 0; i < q; i++ {
-			if !inTree[i] {
-				if d := m.Dist(sites[u], sites[i]); d < best[i] {
+			if best[i] >= 0 {
+				if d := m.Dist(nu, at(i)); d < best[i] {
 					best[i] = d
 				}
 			}
@@ -316,12 +361,20 @@ func (s *Solver) heldKarpTour(m graph.Metric, sites []graph.NodeID) int64 {
 	return best
 }
 
+// heuristicWalk returns the length of a nearest-neighbor walk from home
+// through sites, improved by 2-opt.
+func (s *Solver) heuristicWalk(m graph.Metric, home graph.NodeID, sites []graph.NodeID) int64 {
+	path := s.nearestNeighborPath(m, home, sites)
+	return pathLen(m, home, twoOptPath(m, home, path))
+}
+
 // nearestNeighborPath orders sites by repeatedly hopping to the closest
-// unvisited site, starting from home.
-func nearestNeighborPath(m graph.Metric, home graph.NodeID, sites []graph.NodeID) []graph.NodeID {
-	rest := make([]graph.NodeID, len(sites))
-	copy(rest, sites)
-	out := make([]graph.NodeID, 0, len(sites))
+// unvisited site, starting from home. The returned slice is the solver's
+// buffer, valid until the next call.
+func (s *Solver) nearestNeighborPath(m graph.Metric, home graph.NodeID, sites []graph.NodeID) []graph.NodeID {
+	rest := append(s.rest[:0], sites...)
+	s.rest = rest
+	out := s.path[:0]
 	cur := home
 	for len(rest) > 0 {
 		bi, bd := 0, m.Dist(cur, rest[0])
@@ -335,6 +388,7 @@ func nearestNeighborPath(m graph.Metric, home graph.NodeID, sites []graph.NodeID
 		rest[bi] = rest[len(rest)-1]
 		rest = rest[:len(rest)-1]
 	}
+	s.path = out
 	return out
 }
 

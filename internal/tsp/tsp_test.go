@@ -196,3 +196,69 @@ func TestTwoOptImprovesCrossing(t *testing.T) {
 		t.Fatalf("2-opt path length = %d, want 11 (0→1→2→10→11)", got)
 	}
 }
+
+// TestWalkBracketBracketsOptimumProperty: WalkBracket's LB is the MST
+// over home and the sites, and LB ≤ the exact optimal walk ≤ UB ≤ 2·LB,
+// with Exact set exactly when the bracket closes.
+func TestWalkBracketBracketsOptimumProperty(t *testing.T) {
+	var s Solver
+	check := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		g, sites := randomGraphMetric(r, 4+r.Intn(12))
+		home := graph.NodeID(r.Intn(g.NumNodes()))
+		b := s.WalkBracket(g, home, sites)
+		opt := Walk(g, home, sites).LB
+		mst := MSTWeight(g, append([]graph.NodeID{home}, dedupe(sites, home)...))
+		return b.LB == mst && b.LB <= opt && opt <= b.UB && b.UB <= 2*b.LB && b.Exact == (b.LB == b.UB)
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestWalkBracketTrivialAndClosed(t *testing.T) {
+	m := lineMetric{}
+	var s Solver
+	if b := s.WalkBracket(m, 3, []graph.NodeID{3, 3}); b != (Bounds{Exact: true}) {
+		t.Fatalf("walk to home only = %+v", b)
+	}
+	if b := s.WalkBracket(m, 3, []graph.NodeID{7, 7}); b != (Bounds{LB: 4, UB: 4, Exact: true}) {
+		t.Fatalf("single-site walk = %+v, want exact 4", b)
+	}
+	// Sites on one side of home: the MST is the path itself, so the
+	// nearest-neighbor walk closes the bracket.
+	if b := s.WalkBracket(m, 0, []graph.NodeID{9, 2, 5}); b != (Bounds{LB: 9, UB: 9, Exact: true}) {
+		t.Fatalf("one-sided walk = %+v, want exact 9", b)
+	}
+	// Sites on both sides of home 5: the MST weighs 10, the best walk
+	// (5→3→13) 12.
+	if b := s.WalkBracket(m, 5, []graph.NodeID{3, 13}); b.LB != 10 || b.UB != 12 || b.Exact {
+		t.Fatalf("two-sided walk = %+v, want open [10,12]", b)
+	}
+}
+
+// TestWalkBracketZeroAlloc: on a warm solver, brackets of site sets no
+// larger than the high-water mark allocate nothing.
+func TestWalkBracketZeroAlloc(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	g := graph.New(64)
+	perm := r.Perm(64)
+	for i := 1; i < 64; i++ {
+		g.AddEdge(graph.NodeID(perm[i]), graph.NodeID(perm[r.Intn(i)]), 1+r.Int63n(4))
+	}
+	g.Precompute(1)
+	small := []graph.NodeID{5, 17, 33, 2, 60, 41}
+	large := make([]graph.NodeID, ExactLimit+8)
+	for i := range large {
+		large[i] = graph.NodeID(r.Intn(64))
+	}
+	var s Solver
+	s.WalkBracket(g, 0, large)
+	allocs := testing.AllocsPerRun(200, func() {
+		s.WalkBracket(g, 0, small)
+		s.WalkBracket(g, 7, large)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm WalkBracket allocates %.1f allocs/op, want 0", allocs)
+	}
+}

@@ -48,15 +48,28 @@ go test ./internal/depgraph -run 'TestWarmCSRQueriesZeroAlloc|TestBuildDetermini
 go test . -run '^$' -bench 'BenchmarkDepGraphBuild' -benchtime 1x -count=1 >/dev/null
 
 echo "== lower-bound oracle guards =="
-# Warm oracle lookups must stay zero-alloc (a published bound is a
-# pointer load), ComputeOpts must produce byte-identical bounds at every
-# worker count and match the serial Compute path, concurrent first
-# queries must race benignly under the race detector, and the cost-tier
-# benchmark must at least compile and run (1 iteration smoke — the
-# Measure-stage speedup is checked via BENCH_RESULTS.json).
-go test ./internal/lower -run 'TestOracleWarmLookupZeroAllocs|TestComputeOptsWorkerDeterminism|TestComputeOptsMatchesCompute' -count=1
-go test -race ./internal/lower -run 'TestOracleConcurrentFirstQuery' -count=1
+# Warm oracle lookups and warm walk brackets must stay zero-alloc (a
+# published bound is a pointer load; brackets run on the solver's
+# scratch), ComputeOpts must produce byte-identical bounds at every
+# worker count on both the witness and the pruned scalar path, the
+# scalar path must match the witness path's scalars, concurrent first
+# queries must compute the bound exactly once under the race detector,
+# and the cost-tier benchmark must at least compile and run (1 iteration
+# smoke — the Measure-stage speedup is checked with perfbench).
+go test ./internal/lower -run 'TestOracleWarmLookupZeroAllocs|TestComputeOptsWorkerDeterminism|TestComputeOptsMatchesCompute|TestComputeOptsWitnessFree|TestScalarBoundMatchesWitness' -count=1
+go test ./internal/tsp -run 'TestWalkBracketZeroAlloc|TestWalkBracketBracketsOptimumProperty' -count=1
+go test -race ./internal/lower -run 'TestOracleConcurrentFirstQuery|TestComputeOptsWorkerDeterminism' -count=1
 go test . -run '^$' -bench 'BenchmarkLowerCompute' -benchtime 1x -count=1 >/dev/null
+
+echo "== scalar bound fuzz =="
+# Decoded instances on every topology family: the scalar path's Value and
+# MaxWalkLB equal the witness path's, Value ≥ ℓ, and Value never exceeds
+# a simulated greedy schedule's makespan. The seed corpus lives in
+# internal/lower/testdata/fuzz and runs in every plain go test.
+fuzz_out=$(go test ./internal/lower -run '^$' -fuzz '^FuzzScalarBound$' -fuzztime 10s -parallel 2 2>&1) || {
+    echo "$fuzz_out" >&2
+    exit 1
+}
 
 echo "== fault layer guards =="
 # RunFaulty with a nil/empty plan must stay on Run's allocation budget
