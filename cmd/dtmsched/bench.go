@@ -30,7 +30,7 @@ import (
 const benchUsage = `usage:
   dtmsched bench record  -ledger FILE [-suite quick|smoke] [-trials N] [-seed S] [-workers N]
   dtmsched bench compare [-json] [-time-threshold F] [-count-threshold F] [-min-ms F] [-mad-factor F] OLD.jsonl NEW.jsonl
-  dtmsched bench gate    [same flags as compare] OLD.jsonl NEW.jsonl   (exit 1 on regression)`
+  dtmsched bench gate    [same flags as compare] OLD.jsonl NEW.jsonl   (exit 1 on regression or no common fingerprint)`
 
 // runBenchCmd dispatches `dtmsched bench record|compare|gate` and
 // returns the process exit code.
@@ -173,7 +173,7 @@ func benchRecord(args []string) int {
 // benchCompare implements `dtmsched bench compare` and `... gate`: read
 // two ledgers, judge new against old, and render the report. compare
 // always exits 0 on a well-formed comparison; gate exits 1 when any
-// metric regressed.
+// metric regressed or the ledgers share no fingerprint group.
 func benchCompare(args []string, gate bool) int {
 	name := "compare"
 	if gate {
@@ -217,6 +217,9 @@ func benchCompare(args []string, gate bool) int {
 		return 2
 	}
 	if gate && !rep.Pass() {
+		if len(rep.Groups) == 0 {
+			fmt.Fprintf(os.Stderr, "dtmsched bench gate: %s and %s share no fingerprint group; nothing was compared\n", rest[0], rest[1])
+		}
 		return 1
 	}
 	return 0

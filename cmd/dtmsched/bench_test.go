@@ -8,9 +8,9 @@ import (
 	"dtmsched/internal/obs"
 )
 
-// writeTestLedger writes a 3-trial synthetic ledger whose measure stage
-// takes stageMS milliseconds.
-func writeTestLedger(t *testing.T, path string, stageMS float64) {
+// writeTestLedger writes a 3-trial synthetic ledger of the given suite
+// whose measure stage takes stageMS milliseconds.
+func writeTestLedger(t *testing.T, path, suite string, stageMS float64) {
 	t.Helper()
 	f, err := os.Create(path)
 	if err != nil {
@@ -19,7 +19,7 @@ func writeTestLedger(t *testing.T, path string, stageMS float64) {
 	l := obs.NewLedger(f)
 	for trial := 0; trial < 3; trial++ {
 		rec := obs.RunRecord{
-			Experiment: "bench/x", Config: map[string]string{"suite": "t"}, Trial: trial,
+			Experiment: "bench/x", Config: map[string]string{"suite": suite}, Trial: trial,
 			StageMS:  map[string]float64{"measure": stageMS},
 			TotalMS:  stageMS + 2,
 			SimSteps: 100, ObjectMoves: 300, Executed: 10, Makespan: 100,
@@ -35,22 +35,29 @@ func writeTestLedger(t *testing.T, path string, stageMS float64) {
 }
 
 // TestBenchGate is the end-to-end gate self-test: identical ledgers exit
-// 0, an injected 2× stage-time slowdown exits 1, compare never gates,
+// 0, an injected 2× stage-time slowdown or disjoint fingerprints exit 1,
+// compare never gates,
 // and usage or IO mistakes exit 2.
 func TestBenchGate(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "base.jsonl")
 	same := filepath.Join(dir, "same.jsonl")
 	slow := filepath.Join(dir, "slow.jsonl")
-	writeTestLedger(t, base, 10)
-	writeTestLedger(t, same, 10)
-	writeTestLedger(t, slow, 20)
+	other := filepath.Join(dir, "other.jsonl")
+	writeTestLedger(t, base, "t", 10)
+	writeTestLedger(t, same, "t", 10)
+	writeTestLedger(t, slow, "t", 20)
+	writeTestLedger(t, other, "u", 10)
 
 	if code := runBenchCmd([]string{"gate", base, same}); code != 0 {
 		t.Errorf("gate on identical ledgers exited %d, want 0", code)
 	}
 	if code := runBenchCmd([]string{"gate", base, slow}); code != 1 {
 		t.Errorf("gate on a 2x slowdown exited %d, want 1", code)
+	}
+	// Ledgers with no fingerprint in common compared nothing.
+	if code := runBenchCmd([]string{"gate", base, other}); code != 1 {
+		t.Errorf("gate on ledgers sharing no fingerprint exited %d, want 1", code)
 	}
 	if code := runBenchCmd([]string{"compare", base, slow}); code != 0 {
 		t.Errorf("compare must report without gating; exited %d, want 0", code)

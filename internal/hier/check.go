@@ -3,26 +3,15 @@ package hier
 import (
 	"fmt"
 
-	"dtmsched/internal/schedule"
 	"dtmsched/internal/tm"
-	"dtmsched/internal/windows"
 )
 
-// CrossCheck verifies a merged hierarchical schedule independently of the
-// scheduler's own composition bookkeeping. It feeds the whole schedule
-// through a fresh windows.ChainChecker — re-deriving every per-object
-// handoff chain from the homes (objects must have time to travel between
-// successive users, including across shard boundaries into the merge
-// phase) and enforcing globally unique, strictly ordered per-node commit
-// steps — and then checks the decomposition's containment invariant: a
-// shard-local object's home and every one of its users must lie inside
-// that shard's subtree, so no local schedule ever moves an object across a
-// tier boundary.
-func CrossCheck(d *Decomposition, in *tm.Instance, s *schedule.Schedule) error {
-	cc := windows.NewChainChecker(in.Metric, in.Home)
-	if err := cc.Check(in, s); err != nil {
-		return fmt.Errorf("hier: chain cross-check: %w", err)
-	}
+// CrossCheck verifies the decomposition's containment invariant: a
+// shard-local object's home and every one
+// of its users must lie inside that shard's subtree, so no local schedule
+// ever moves an object across a tier boundary. Feasibility of the merged
+// schedule is schedule.Validate's job.
+func CrossCheck(d *Decomposition, in *tm.Instance) error {
 	for o := 0; o < in.NumObjects; o++ {
 		so := d.ObjShard[o]
 		if so < 0 {

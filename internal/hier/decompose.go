@@ -11,9 +11,9 @@
 // conflicts climb the tree.
 //
 // Like every scheduler in the repo, the result is feasible by construction
-// (exact per-shard and merge offsets, not probabilistic accounting),
-// re-validated by schedule.Validate, and cross-checked by an independent
-// windows.ChainChecker pass plus the subtree-containment invariant. Results
+// (exact per-shard and merge offsets on one schedule.Chain, not
+// probabilistic accounting), re-validated by schedule.Validate on a fresh
+// chain, and cross-checked against the subtree-containment invariant. Results
 // are byte-identical at every worker count: shards compute into private
 // slots and the composition never depends on completion order.
 package hier

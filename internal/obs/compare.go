@@ -127,8 +127,9 @@ type CompareReport struct {
 	EnvMismatch string `json:"env_mismatch,omitempty"`
 }
 
-// Pass reports whether the comparison is regression-free.
-func (r *CompareReport) Pass() bool { return r.Regressions == 0 }
+// Pass reports whether the comparison is regression-free. A comparison
+// that matched no fingerprint group compared nothing and does not pass.
+func (r *CompareReport) Pass() bool { return len(r.Groups) > 0 && r.Regressions == 0 }
 
 // metricVal is one extracted (name, class, value) triple.
 type metricVal struct {
@@ -395,6 +396,9 @@ func (r *CompareReport) WriteText(w io.Writer) error {
 	}
 	if r.EnvMismatch != "" {
 		fmt.Fprintf(w, "warning: environment mismatch (%s) — wall-time deltas are suspect\n", r.EnvMismatch)
+	}
+	if len(r.Groups) == 0 {
+		fmt.Fprintln(w, "  no fingerprint group is in both ledgers: nothing was compared")
 	}
 	for _, g := range r.Groups {
 		ok := 0

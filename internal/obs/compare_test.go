@@ -32,8 +32,8 @@ func trials(exp string, stageMS float64, simsteps int64, n int) []RunRecord {
 }
 
 // TestCompareGateSelfTest is the CI self-test of the regression gate:
-// identical ledgers pass, an injected 2× stage-time slowdown fails, and
-// both verdict directions are counted.
+// identical ledgers pass, an injected 2× stage-time slowdown fails, both
+// verdict directions are counted, and ledgers sharing no fingerprint fail.
 func TestCompareGateSelfTest(t *testing.T) {
 	old := trials("E1", 10, 100, 3)
 
@@ -83,6 +83,16 @@ func TestCompareGateSelfTest(t *testing.T) {
 		rep := Compare(old, trials("E1", 10, 101, 3), Thresholds{})
 		if rep.Pass() {
 			t.Fatal("simsteps 100 -> 101 must regress: counters are deterministic")
+		}
+	})
+
+	t.Run("no common fingerprint fails", func(t *testing.T) {
+		rep := Compare(old, trials("E2", 10, 100, 3), Thresholds{})
+		if rep.Pass() || len(rep.Groups) != 0 {
+			t.Fatalf("disjoint ledgers: pass=%v groups=%d, want a failing empty comparison", rep.Pass(), len(rep.Groups))
+		}
+		if txt := textOf(rep); !strings.Contains(txt, "FAIL") || !strings.Contains(txt, "nothing was compared") {
+			t.Errorf("disjoint-ledger report does not say why it failed:\n%s", txt)
 		}
 	})
 }

@@ -12,7 +12,6 @@ package schedule
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"dtmsched/internal/graph"
@@ -46,16 +45,21 @@ func (s *Schedule) Makespan() int64 {
 // time (ties broken by transaction ID; a feasible schedule has no ties
 // among users of a shared object).
 func (s *Schedule) Order(in *tm.Instance, o tm.ObjectID) []tm.TxnID {
-	users := in.Users(o)
-	out := make([]tm.TxnID, len(users))
-	copy(out, users)
-	slices.SortFunc(out, func(a, b tm.TxnID) int {
+	return s.appendOrder(make([]tm.TxnID, 0, len(in.Users(o))), in, o)
+}
+
+// appendOrder appends Order(in, o) to dst, so a caller walking every
+// object can reuse one buffer.
+func (s *Schedule) appendOrder(dst []tm.TxnID, in *tm.Instance, o tm.ObjectID) []tm.TxnID {
+	n := len(dst)
+	dst = append(dst, in.Users(o)...)
+	slices.SortFunc(dst[n:], func(a, b tm.TxnID) int {
 		if c := cmp.Compare(s.Times[a], s.Times[b]); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)
 	})
-	return out
+	return dst
 }
 
 // Route returns the nodes object o visits under s: its home followed by
@@ -85,46 +89,11 @@ func (s *Schedule) CommCost(in *tm.Instance) int64 {
 	return total
 }
 
-// Validate checks feasibility per Definition 1:
-//
-//   - every transaction has t(T_i) ≥ 1;
-//   - for each object, its first requester executes no earlier than the
-//     object's distance from home;
-//   - each subsequent requester executes at least dist(prev, next) steps
-//     after the previous one (the object must physically travel between
-//     commits).
-//
-// It returns nil for feasible schedules and a descriptive error otherwise.
+// Validate checks feasibility per Definition 1 by running Check on a fresh
+// Chain that starts at the instance's homes. It returns nil for feasible
+// schedules and a descriptive error otherwise.
 func (s *Schedule) Validate(in *tm.Instance) error {
-	if len(s.Times) != in.NumTxns() {
-		return fmt.Errorf("schedule: %d times for %d transactions", len(s.Times), in.NumTxns())
-	}
-	for i, t := range s.Times {
-		if t < 1 {
-			return fmt.Errorf("schedule: transaction %d has time %d < 1", i, t)
-		}
-	}
-	for o := 0; o < in.NumObjects; o++ {
-		oid := tm.ObjectID(o)
-		order := s.Order(in, oid)
-		if len(order) == 0 {
-			continue
-		}
-		first := order[0]
-		if d := in.Dist(in.Home[oid], in.Txns[first].Node); s.Times[first] < d {
-			return fmt.Errorf("schedule: object %d cannot reach transaction %d by step %d (home %d is %d away)",
-				o, first, s.Times[first], in.Home[oid], d)
-		}
-		for i := 0; i+1 < len(order); i++ {
-			a, b := order[i], order[i+1]
-			d := in.Dist(in.Txns[a].Node, in.Txns[b].Node)
-			if s.Times[b] < s.Times[a]+d {
-				return fmt.Errorf("schedule: object %d: transaction %d at step %d then %d at step %d, but they are %d apart",
-					o, a, s.Times[a], b, s.Times[b], d)
-			}
-		}
-	}
-	return nil
+	return NewChain(in.Metric, in.G.NumNodes(), in.Home).Check(in, s)
 }
 
 // Shift adds delta to every execution time; useful when composing phase

@@ -204,6 +204,116 @@ func TestSpeedingUpATransactionBreaksFeasibilityProperty(t *testing.T) {
 	}
 }
 
+// windowOf returns the transactions of s whose step satisfies keep, as an
+// instance over in's graph and object space, with their times.
+func windowOf(in *tm.Instance, s *Schedule, keep func(t int64) bool) (*tm.Instance, *Schedule) {
+	var txns []tm.Txn
+	var times []int64
+	for i, t := range s.Times {
+		if keep(t) {
+			txns = append(txns, in.Txns[i])
+			times = append(times, t)
+		}
+	}
+	return tm.NewInstance(in.G, in.Metric, in.NumObjects, txns, in.Home), &Schedule{Times: times}
+}
+
+func TestChainSplitMatchesValidateProperty(t *testing.T) {
+	// Cutting a schedule at any step into two windows over the same
+	// object space and checking both through one Chain gives Validate's
+	// verdict on the whole schedule.
+	var verdicts [2]int
+	check := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		in := randomInstance(r)
+		s := listSchedule(r, in)
+		if len(s.Times) > 0 && r.Intn(2) == 0 {
+			s.Times[r.Intn(len(s.Times))] = r.Int63n(s.Makespan() + 2)
+		}
+		cut := r.Int63n(s.Makespan() + 2)
+		c := NewChain(in.Metric, in.G.NumNodes(), in.Home)
+		split := c.Check(windowOf(in, s, func(t int64) bool { return t <= cut }))
+		if split == nil {
+			split = c.Check(windowOf(in, s, func(t int64) bool { return t > cut }))
+		}
+		whole := s.Validate(in)
+		if whole == nil {
+			verdicts[0]++
+		} else {
+			verdicts[1]++
+		}
+		return (split == nil) == (whole == nil)
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+	if verdicts[0] == 0 || verdicts[1] == 0 {
+		t.Fatalf("verdicts feasible/infeasible = %v, want both", verdicts)
+	}
+}
+
+func TestChainPlacementPassesCheckProperty(t *testing.T) {
+	// Schedules placed by one Chain's Earliest/Offset and Commit, from
+	// random floors across several windows, always pass an independent
+	// Chain's Check.
+	check := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		first := randomInstance(r)
+		g, w := first.G, first.NumObjects
+		place := NewChain(g, g.NumNodes(), first.Home)
+		checker := NewChain(g, g.NumNodes(), first.Home)
+		var clock int64
+		for wi := 0; wi < 4; wi++ {
+			in := first
+			if wi > 0 {
+				in = tm.UniformK(w, 1+r.Intn(minInt(w, 3))).Generate(r, g, nil, g.Nodes(), tm.PlaceAtRandomUser)
+			}
+			s := New(in.NumTxns())
+			if r.Intn(2) == 0 {
+				for _, i := range r.Perm(in.NumTxns()) {
+					s.Times[i] = place.Earliest(&in.Txns[i], 1+r.Int63n(clock+3))
+					place.Commit(&in.Txns[i], s.Times[i])
+				}
+			} else {
+				// A batch whose local times come from a feasible schedule
+				// of the window on its own, shifted past a random floor.
+				local := listSchedule(r, in).Times
+				ids := make([]tm.TxnID, in.NumTxns())
+				for i := range ids {
+					ids[i] = tm.TxnID(i)
+				}
+				floor := r.Int63n(clock + 3)
+				delta := place.Offset(in, ids, local, floor)
+				// δ is the smallest shift ≥ floor: above the floor, one
+				// step less would make some transaction too early.
+				tight := delta == floor
+				for i := range ids {
+					tight = tight || place.Earliest(&in.Txns[i], 1) > local[i]+delta-1
+				}
+				if delta < floor || !tight {
+					t.Logf("seed %d window %d: offset %d with floor %d is not the least", seed, wi, delta, floor)
+					return false
+				}
+				for i := range ids {
+					s.Times[i] = local[i] + delta
+					place.Commit(&in.Txns[i], s.Times[i])
+				}
+			}
+			if m := s.Makespan(); m > clock {
+				clock = m
+			}
+			if err := checker.Check(in, s); err != nil {
+				t.Logf("seed %d window %d: %v", seed, wi, err)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func minInt(a, b int) int {
 	if a < b {
 		return a

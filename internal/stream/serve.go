@@ -1,10 +1,11 @@
 package stream
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -16,7 +17,6 @@ import (
 	"dtmsched/internal/obs"
 	"dtmsched/internal/schedule"
 	"dtmsched/internal/tm"
-	"dtmsched/internal/windows"
 )
 
 // Config describes one streaming service run.
@@ -390,13 +390,11 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 	// last-commit steps span the whole stream, exactly as windows.Run
 	// chains homes across a finite sequence. The mutable conflict index
 	// is registered/deregistered per window so dependency graphs reuse
-	// its member-list capacity; the chain checker independently
+	// its member-list capacity; the checker chain independently
 	// re-verifies every cut window's feasibility.
-	relT := make([]int64, cfg.NumObjects)
-	relN := append([]graph.NodeID(nil), cfg.Home...)
-	nodeBusy := make(map[graph.NodeID]int64)
+	chain := schedule.NewChain(metric, n, cfg.Home)
+	checker := schedule.NewChain(metric, n, cfg.Home)
 	index := tm.NewConflictIndex(cfg.NumObjects)
-	checker := windows.NewChainChecker(metric, cfg.Home)
 
 	var (
 		queue      []qitem
@@ -429,6 +427,9 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 				}
 				if it.Arrive < lastArrive {
 					return fmt.Errorf("stream: source emitted arrival %d after %d (must be non-decreasing)", it.Arrive, lastArrive)
+				}
+				if it.Node < 0 || int(it.Node) >= n {
+					return fmt.Errorf("stream: transaction %d at node %d outside [0,%d)", it.Seq, it.Node, n)
 				}
 				if len(it.Objects) == 0 {
 					return fmt.Errorf("stream: transaction %d requests no objects", it.Seq)
@@ -605,17 +606,18 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 		// Shadow instance: this window's transactions with object homes
 		// frozen at the current release positions, so the engine's
 		// algebraic validation and simulator replay see exactly the
-		// handoff state the cutter scheduled against. relN is snapshotted
-		// because the loop keeps mutating it while the executor runs.
+		// handoff state the cutter scheduled against. The homes are a
+		// copy because the loop keeps advancing the chain while the
+		// executor runs.
 		txns := make([]tm.Txn, len(cut))
 		for i, it := range cut {
 			txns[i] = tm.Txn{Node: it.Node, Objects: it.Objects}
 		}
-		in := tm.NewInstance(cfg.G, metric, cfg.NumObjects, txns, append([]graph.NodeID(nil), relN...))
+		in := tm.NewInstance(cfg.G, metric, cfg.NumObjects, txns, chain.Holders())
 
 		// Dependency graph over the mutable index: register this
 		// window's members, build, deregister. Cross-window constraints
-		// ride on relT/relN, not on index edges, so the index only ever
+		// ride on the chain, not on index edges, so the index only ever
 		// holds the window being cut (and retains member-list capacity
 		// across windows).
 		for i := range in.Txns {
@@ -636,37 +638,27 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 		for i := range order {
 			order[i] = i
 		}
-		sortByColor(order, local, h.IDs)
+		slices.SortFunc(order, func(a, b int) int {
+			if c := cmp.Compare(local[a], local[b]); c != 0 {
+				return c
+			}
+			return cmp.Compare(h.IDs[a], h.IDs[b])
+		})
 		s := schedule.New(in.NumTxns())
 		windowEnd := clock
 		for _, i := range order {
-			id := h.IDs[i]
-			txn := &in.Txns[id]
-			t := clock + 1
-			for _, o := range txn.Objects {
-				if need := relT[o] + metric.Dist(relN[o], txn.Node); need > t {
-					t = need
-				}
-			}
-			if busy := nodeBusy[txn.Node]; busy >= t {
-				t = busy + 1
-			}
-			s.Times[id] = t
-			nodeBusy[txn.Node] = t
-			for _, o := range txn.Objects {
-				if t > relT[o] {
-					relT[o] = t
-					relN[o] = txn.Node
-				}
-			}
+			txn := &in.Txns[h.IDs[i]]
+			t := chain.Earliest(txn, clock+1)
+			s.Times[txn.ID] = t
+			chain.Commit(txn, t)
 			if t > windowEnd {
 				windowEnd = t
 			}
 		}
 
-		// Independent feasibility cross-check (the windows.ChainChecker
-		// the finite-sequence scheduler uses): handoff chains and
-		// per-node commit ordering across every window so far.
+		// Independent feasibility cross-check (the same rule windows.Run
+		// checks): handoff chains and per-node commit ordering across
+		// every window so far.
 		if err := checker.Check(in, s); err != nil {
 			return fail(fmt.Errorf("stream: window %d infeasible: %w", res.Windows, err))
 		}
@@ -724,15 +716,4 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	res.Digest = digest.Sum64()
 	return res, nil
-}
-
-// sortByColor orders vertex indices by (color, transaction ID) — the
-// deterministic list-scheduling order shared with windows.Run.
-func sortByColor(order []int, color []int64, ids []tm.TxnID) {
-	sort.Slice(order, func(a, b int) bool {
-		if color[order[a]] != color[order[b]] {
-			return color[order[a]] < color[order[b]]
-		}
-		return ids[order[a]] < ids[order[b]]
-	})
 }

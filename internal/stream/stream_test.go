@@ -243,6 +243,11 @@ func TestServeConfigAndSourceErrors(t *testing.T) {
 	if _, err := Serve(context.Background(), bad); err == nil {
 		t.Fatal("empty object set accepted")
 	}
+	bad = base
+	bad.Source = sliceSource{{Seq: 0, Node: graph.NodeID(base.G.NumNodes()), Objects: []tm.ObjectID{0}, Arrive: 0}}.source()
+	if _, err := Serve(context.Background(), bad); err == nil {
+		t.Fatal("out-of-range node accepted")
+	}
 }
 
 func TestServeContextCancellation(t *testing.T) {

@@ -14,9 +14,10 @@
 package windows
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"dtmsched/internal/depgraph"
 	"dtmsched/internal/graph"
@@ -85,10 +86,12 @@ func Run(seq *Sequence, pipelined bool) (*Result, error) {
 	}
 	res := &Result{Mode: mode}
 
-	relT := make([]int64, seq.NumObjects)
-	relN := make([]graph.NodeID, seq.NumObjects)
-	copy(relN, seq.Home)
-	nodeBusy := make(map[graph.NodeID]int64) // last commit step per node
+	// chain places every window; checker independently re-derives the
+	// per-object handoff chains and per-node commit ordering from the
+	// finished schedules alone, so a placement bug in either mode
+	// surfaces as an error instead of an infeasible sequence.
+	chain := schedule.NewChain(seq.Metric, seq.G.NumNodes(), seq.Home)
+	checker := schedule.NewChain(seq.Metric, seq.G.NumNodes(), seq.Home)
 	var clock int64
 
 	// One mutable conflict index is reused across the whole sequence:
@@ -98,15 +101,6 @@ func Run(seq *Sequence, pipelined bool) (*Result, error) {
 	// scratch each window.
 	index := tm.NewConflictIndex(seq.NumObjects)
 	var prev *tm.Instance
-
-	// An independent cross-check of the composed sequence: the checker
-	// re-derives the per-object handoff chains and per-node commit
-	// ordering from the schedules alone, so a bookkeeping bug in either
-	// mode's relT/relN/nodeBusy updates surfaces as an error instead of
-	// an infeasible (but silently accepted) sequence. Pipelined mode has
-	// no other validation; barrier mode keeps its shadow-instance check
-	// as well.
-	checker := NewChainChecker(seq.Metric, seq.Home)
 
 	for wi, in := range seq.Windows {
 		if prev != nil {
@@ -123,101 +117,45 @@ func Run(seq *Sequence, pipelined bool) (*Result, error) {
 
 		s := schedule.New(in.NumTxns())
 		var windowEnd int64
+		place := func(id tm.TxnID, t int64) {
+			s.Times[id] = t
+			chain.Commit(&in.Txns[id], t)
+			if t > windowEnd {
+				windowEnd = t
+			}
+		}
 		if pipelined {
 			// Cross-window list scheduling: process this window's
-			// transactions in coloring order; each takes the earliest
-			// step after its objects can arrive and its node is free.
+			// transactions in coloring order (colors, then IDs); each
+			// takes the earliest step after its objects can arrive and
+			// its node is free.
 			order := make([]int, len(h.IDs))
 			for i := range order {
 				order[i] = i
 			}
-			sort.Slice(order, func(a, b int) bool {
-				if local[order[a]] != local[order[b]] {
-					return local[order[a]] < local[order[b]]
+			slices.SortFunc(order, func(a, b int) int {
+				if c := cmp.Compare(local[a], local[b]); c != 0 {
+					return c
 				}
-				return h.IDs[order[a]] < h.IDs[order[b]]
+				return cmp.Compare(h.IDs[a], h.IDs[b])
 			})
 			for _, i := range order {
 				id := h.IDs[i]
-				txn := &in.Txns[id]
-				var t int64 = 1
-				for _, o := range txn.Objects {
-					if need := relT[o] + seq.Metric.Dist(relN[o], txn.Node); need > t {
-						t = need
-					}
-				}
-				if busy := nodeBusy[txn.Node]; busy >= t {
-					t = busy + 1
-				}
-				s.Times[id] = t
-				nodeBusy[txn.Node] = t
-				for _, o := range txn.Objects {
-					if t > relT[o] {
-						relT[o] = t
-						relN[o] = txn.Node
-					}
-				}
-				if t > windowEnd {
-					windowEnd = t
-				}
-				if t > clock {
-					clock = t
-				}
+				place(id, chain.Earliest(&in.Txns[id], 1))
 			}
 		} else {
-			// Barrier: one shift past the clock plus the exact object
-			// and node constraints (the composer pattern).
-			delta := clock
+			// Barrier: the coloring shifted by one offset past the clock
+			// and the exact object and node constraints.
+			delta := chain.Offset(in, h.IDs, local, clock)
 			for i, id := range h.IDs {
-				txn := &in.Txns[id]
-				for _, o := range txn.Objects {
-					if need := relT[o] + seq.Metric.Dist(relN[o], txn.Node) - local[i]; need > delta {
-						delta = need
-					}
-				}
-				if busy := nodeBusy[txn.Node]; busy > 0 {
-					if need := busy + 1 - local[i]; need > delta {
-						delta = need
-					}
-				}
-			}
-			for i, id := range h.IDs {
-				t := local[i] + delta
-				s.Times[id] = t
-				if t > windowEnd {
-					windowEnd = t
-				}
-			}
-			// Validate against a shadow instance whose homes are the
-			// objects' current positions (sound: true release times are
-			// later than the shadow's time-0 homes).
-			shadow := tm.NewInstance(in.G, seq.Metric, in.NumObjects, in.Txns, relN)
-			if err := s.Validate(shadow); err != nil {
-				return nil, fmt.Errorf("windows: window %d infeasible: %w", wi, err)
-			}
-			for _, id := range h.IDs {
-				txn := &in.Txns[id]
-				if busy, ok := nodeBusy[txn.Node]; ok && s.Times[id] <= busy {
-					return nil, fmt.Errorf("windows: window %d node %d executes at %d, not after %d", wi, txn.Node, s.Times[id], busy)
-				}
-			}
-			for _, id := range h.IDs {
-				txn := &in.Txns[id]
-				t := s.Times[id]
-				nodeBusy[txn.Node] = t
-				for _, o := range txn.Objects {
-					if t > relT[o] {
-						relT[o] = t
-						relN[o] = txn.Node
-					}
-				}
-				if t > clock {
-					clock = t
-				}
+				place(id, local[i]+delta)
 			}
 		}
+		if windowEnd > clock {
+			clock = windowEnd
+		}
 		if err := checker.Check(in, s); err != nil {
-			return nil, fmt.Errorf("windows: %s mode cross-check failed: %w", mode, err)
+			return nil, fmt.Errorf("windows: window %d: %s mode cross-check failed: %w", wi, mode, err)
 		}
 		res.PerWindow = append(res.PerWindow, s)
 		res.WindowEnd = append(res.WindowEnd, windowEnd)

@@ -102,9 +102,10 @@ go test ./internal/xrand -run 'TestGeometricGap' -count=1
 echo "== streaming service guards =="
 # Serving is deterministic per seed (digest-pinned, verify-mode
 # invariant), backpressure is exercised in both policies, the
-# cross-window chain checker accepts both windows.Run modes and rejects
-# corrupted schedules, and the cutter/executor overlap is race-clean.
-go test ./internal/windows -run 'TestChainChecker' -count=1
+# cross-window schedule.Chain check accepts both windows.Run modes and
+# rejects corrupted schedules, and the cutter/executor overlap is
+# race-clean.
+go test ./internal/schedule -run 'TestChain' -count=1
 go test -race ./internal/stream -count=1
 
 echo "== serve-mode smoke =="
