@@ -41,7 +41,6 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof/* on the default mux
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -75,26 +74,12 @@ type jsonColumn struct {
 	Max  float64 `json:"max"`
 }
 
-// jsonPipeline surfaces the engine instrumentation that each experiment's
-// jobs measure: summed per-stage wall time and the simulator counters.
-type jsonPipeline struct {
-	StageMS         map[string]float64 `json:"stage_ms,omitempty"`
-	DepGraphBuildMS float64            `json:"depgraph_build_ms,omitempty"`
-	DepGraphBuilds  int64              `json:"depgraph_builds,omitempty"`
-	LowerMS         float64            `json:"lower_ms,omitempty"`
-	LowerComputes   int64              `json:"lower_computations,omitempty"`
-	LowerCacheHits  int64              `json:"lower_cache_hits,omitempty"`
-	SimSteps        int64              `json:"sim_steps"`
-	ObjectMoves     int64              `json:"object_moves"`
-	Executed        int64              `json:"txns_executed"`
-}
-
 type jsonExperiment struct {
 	ID        string       `json:"id"`
 	Title     string       `json:"title"`
 	Ref       string       `json:"ref"`
 	WallMS    float64      `json:"wall_ms"`
-	Pipeline  jsonPipeline `json:"pipeline"`
+	Pipeline  obs.Measures `json:"pipeline"`
 	Header    []string     `json:"header"`
 	Rows      [][]string   `json:"rows"`
 	Summaries []jsonColumn `json:"summaries"`
@@ -108,48 +93,10 @@ type jsonOutput struct {
 	Seed        int64            `json:"seed"`
 	Workers     int              `json:"workers"`
 	TotalMS     float64          `json:"total_ms"`
-	Pipeline    jsonPipeline     `json:"pipeline"`
+	Pipeline    obs.Measures     `json:"pipeline"`
 	ChecksRun   int              `json:"checks_run"`
 	ChecksFail  int              `json:"checks_failed"`
 	Experiments []jsonExperiment `json:"experiments"`
-}
-
-// counterMap extracts the counters of a registry snapshot by full name.
-func counterMap(samples []obs.Sample) map[string]int64 {
-	out := make(map[string]int64, len(samples))
-	for _, s := range samples {
-		if s.Kind == "counter" {
-			out[s.Name] = s.Value
-		}
-	}
-	return out
-}
-
-// pipelineDelta computes the engine instrumentation accumulated between
-// two counter snapshots.
-func pipelineDelta(prev, cur map[string]int64) jsonPipeline {
-	d := func(name string) int64 { return cur[name] - prev[name] }
-	p := jsonPipeline{
-		SimSteps:    d("sim_steps_total"),
-		ObjectMoves: d("object_moves_total"),
-		Executed:    d("txns_executed_total"),
-		StageMS:     map[string]float64{},
-	}
-	for _, stage := range []string{"generate", "schedule", "verify", "measure", "done"} {
-		if us := d("engine_stage_wall_us{stage=" + stage + "}"); us != 0 {
-			p.StageMS[stage] = float64(us) / 1000
-		}
-	}
-	if ns := d("depgraph_build_ns_total"); ns != 0 {
-		p.DepGraphBuildMS = float64(ns) / 1e6
-		p.DepGraphBuilds = d("depgraph_builds_total")
-	}
-	if n := d("lower_computations_total"); n != 0 {
-		p.LowerMS = float64(d("lower_compute_ns_total")) / 1e6
-		p.LowerComputes = n
-	}
-	p.LowerCacheHits = d("lower_cache_hits_total")
-	return p
 }
 
 // columnSummaries extracts mean/min/max per numeric table column; columns
@@ -311,8 +258,8 @@ func main() {
 	out := jsonOutput{Quick: *quick, Trials: *trials, Seed: cfg.Seed, Workers: *parallel}
 	failures := 0
 	runStart := time.Now()
+	ledgerCfg := runConfig(cfg, *quick)
 	prevSnap := col.Registry().Snapshot()
-	prevCounters := counterMap(prevSnap)
 	for _, e := range selected {
 		start := time.Now()
 		// One bound oracle per experiment: every engine job and direct
@@ -340,16 +287,14 @@ func main() {
 			fmt.Printf("=== %s — %s [%s] (%s)\n\n%s\n", res.ID, res.Title, res.Ref, rounded, res.Table)
 		}
 		curSnap := col.Registry().Snapshot()
-		curCounters := counterMap(curSnap)
 		je := jsonExperiment{ID: res.ID, Title: res.Title, Ref: res.Ref,
 			WallMS:   float64(elapsed.Microseconds()) / 1000,
-			Pipeline: pipelineDelta(prevCounters, curCounters),
+			Pipeline: obs.MeasureDelta(prevSnap, curSnap),
 			Header:   res.Table.Header(), Rows: res.Table.Rows(),
 			Summaries: columnSummaries(res.Table), Notes: res.Notes}
-		if ledger != nil {
-			ledger.Append(ledgerRecord(res.ID, cfg, *quick, je, prevSnap, curSnap))
-		}
-		prevSnap, prevCounters = curSnap, curCounters
+		je.Pipeline.Metrics["total_ms"] = je.WallMS
+		ledger.Append(&obs.RunRecord{Experiment: res.ID, Config: ledgerCfg, Seed: cfg.Seed, Measures: je.Pipeline})
+		prevSnap = curSnap
 		for _, c := range res.Checks {
 			mark := "PASS"
 			if !c.OK {
@@ -367,7 +312,7 @@ func main() {
 		out.Experiments = append(out.Experiments, je)
 	}
 	out.TotalMS = float64(time.Since(runStart).Microseconds()) / 1000
-	out.Pipeline = pipelineDelta(map[string]int64{}, prevCounters)
+	out.Pipeline = obs.MeasureDelta(nil, prevSnap)
 	out.ChecksFail = failures
 
 	if *traceOut != "" {
@@ -425,52 +370,17 @@ func main() {
 	}
 }
 
-// ledgerRecord builds the obs/v2 run-ledger record for one finished
-// experiment: identity from the sweep configuration (so reruns with the
-// same flags share a fingerprint), measurements from the counter deltas
-// already computed for -json, and the transaction-latency distribution
-// as the histogram delta between the surrounding registry snapshots.
-func ledgerRecord(id string, cfg experiments.Config, quick bool, je jsonExperiment, prevSnap, curSnap []obs.Sample) *obs.RunRecord {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// runConfig is the fingerprint input of the sweep's ledger records:
+// the flags that determine every experiment's output, so reruns with the
+// same flags share a fingerprint. Worker counts are left out — every
+// layer is byte-identical at every count, so ledgers recorded at
+// different -parallel values compare group by group.
+func runConfig(cfg experiments.Config, quick bool) map[string]string {
+	return map[string]string{
+		"quick":  strconv.FormatBool(quick),
+		"trials": strconv.Itoa(cfg.Trials),
+		"seed":   strconv.FormatInt(cfg.Seed, 10),
 	}
-	p := je.Pipeline
-	rec := &obs.RunRecord{
-		Experiment: id,
-		Config: map[string]string{
-			"quick":   strconv.FormatBool(quick),
-			"trials":  strconv.Itoa(cfg.Trials),
-			"seed":    strconv.FormatInt(cfg.Seed, 10),
-			"workers": strconv.Itoa(workers),
-		},
-		Seed:              cfg.Seed,
-		StageMS:           p.StageMS,
-		TotalMS:           je.WallMS,
-		SimSteps:          p.SimSteps,
-		ObjectMoves:       p.ObjectMoves,
-		Executed:          p.Executed,
-		LowerMS:           p.LowerMS,
-		LowerComputations: p.LowerComputes,
-		LowerCacheHits:    p.LowerCacheHits,
-	}
-	if lat := obs.HistDelta(histSample(curSnap, "txn_latency_steps"), histSample(prevSnap, "txn_latency_steps")); lat != nil && lat.Count > 0 {
-		rec.Latency = lat
-		rec.LatencyP50 = lat.Quantile(0.50)
-		rec.LatencyP99 = lat.Quantile(0.99)
-	}
-	return rec
-}
-
-// histSample finds a histogram sample by full name; a zero Sample when
-// the registry has not observed it yet.
-func histSample(samples []obs.Sample, name string) obs.Sample {
-	for _, s := range samples {
-		if s.Name == name && s.Kind == "histogram" {
-			return s
-		}
-	}
-	return obs.Sample{}
 }
 
 // parseFaultsSpec parses the -faults argument: fractional tokens in

@@ -27,46 +27,39 @@ func TestPublishPrefix(t *testing.T) {
 	}
 }
 
-// TestLedgerRecordFromPipeline covers the -ledger record builder: the
-// per-experiment pipeline delta and latency histogram delta land in the
-// record, and identical snapshots produce no latency.
+// TestLedgerRecordFromPipeline covers the -ledger record inputs: the
+// fingerprint config names the output-determining flags but not the
+// worker count (ledgers at different -parallel values must share
+// groups), and the per-experiment measures are the registry delta
+// between the surrounding snapshots, with no movement giving nothing.
 func TestLedgerRecordFromPipeline(t *testing.T) {
+	cfg := experiments.DefaultConfig()
+	cfg.Trials, cfg.Workers = 2, 4
+	got := runConfig(cfg, true)
+	if got["quick"] != "true" || got["trials"] != "2" || got["seed"] == "" {
+		t.Errorf("config = %v, want quick, trials and seed", got)
+	}
+	if _, ok := got["workers"]; ok {
+		t.Errorf("config = %v: workers must not enter the fingerprint", got)
+	}
+	cfg.Workers = 1
+	if obs.Fingerprint("E5", runConfig(cfg, true)) != obs.Fingerprint("E5", got) {
+		t.Error("worker count changed the fingerprint")
+	}
+
 	r := obs.NewRegistry()
 	h := r.Histogram("txn_latency_steps", nil)
 	prev := r.Snapshot()
 	for _, v := range []int64{2, 4, 8} {
 		h.Observe(v)
 	}
+	r.Counter("sim_steps_total").Add(40)
 	cur := r.Snapshot()
-
-	je := jsonExperiment{
-		WallMS: 12.5,
-		Pipeline: jsonPipeline{
-			StageMS:  map[string]float64{"schedule": 1.5},
-			SimSteps: 40, ObjectMoves: 90, Executed: 3,
-			LowerMS: 2.5, LowerComputes: 2, LowerCacheHits: 4,
-		},
+	m := obs.MeasureDelta(prev, cur)
+	if m.Metrics["sim_steps_total"] != 40 || m.Hists["txn_latency_steps"].Count != 3 {
+		t.Errorf("measures = %v / %v, want the counter and histogram deltas", m.Metrics, m.Hists)
 	}
-	cfg := experiments.DefaultConfig()
-	cfg.Trials = 2
-	rec := ledgerRecord("E5", cfg, true, je, prev, cur)
-	if rec.Experiment != "E5" || rec.TotalMS != 12.5 || rec.SimSteps != 40 {
-		t.Errorf("record = %+v, want the pipeline delta copied over", rec)
-	}
-	if rec.Config["quick"] != "true" || rec.Config["workers"] == "0" || rec.Config["workers"] == "" {
-		t.Errorf("config = %v, want quick=true and a resolved worker count", rec.Config)
-	}
-	if rec.Latency == nil || rec.Latency.Count != 3 {
-		t.Fatalf("latency = %+v, want the 3-observation delta", rec.Latency)
-	}
-	// rank = floor(0.5*3) clamped to 1 → the first bucket's bound.
-	if rec.LatencyP50 != 2 {
-		t.Errorf("latency p50 = %d, want 2", rec.LatencyP50)
-	}
-
-	// No histogram movement between snapshots → no latency on the record.
-	rec = ledgerRecord("E5", cfg, true, je, cur, cur)
-	if rec.Latency != nil {
-		t.Errorf("identical snapshots produced latency %+v, want none", rec.Latency)
+	if m := obs.MeasureDelta(cur, cur); len(m.Metrics) != 0 || len(m.Hists) != 0 {
+		t.Errorf("identical snapshots produced measures %+v, want none", m)
 	}
 }

@@ -10,7 +10,8 @@
 // trial — and appends one obs.RunRecord per job to the ledger. compare
 // groups two ledgers by configuration fingerprint and reports per-metric
 // deltas; gate is compare with an exit code: 1 when any metric
-// regressed, so CI can chain `record` on two builds and fail the merge.
+// regressed or changed, or nothing could be judged, so CI can chain
+// `record` on two builds and fail the merge.
 package main
 
 import (
@@ -30,7 +31,7 @@ import (
 const benchUsage = `usage:
   dtmsched bench record  -ledger FILE [-suite quick|smoke] [-trials N] [-seed S] [-workers N]
   dtmsched bench compare [-json] [-time-threshold F] [-count-threshold F] [-min-ms F] [-mad-factor F] OLD.jsonl NEW.jsonl
-  dtmsched bench gate    [same flags as compare] OLD.jsonl NEW.jsonl   (exit 1 on regression or no common fingerprint)`
+  dtmsched bench gate    [same flags as compare] OLD.jsonl NEW.jsonl   (exit 1 on regression, changed count, or nothing judged)`
 
 // runBenchCmd dispatches `dtmsched bench record|compare|gate` and
 // returns the process exit code.
@@ -173,7 +174,7 @@ func benchRecord(args []string) int {
 // benchCompare implements `dtmsched bench compare` and `... gate`: read
 // two ledgers, judge new against old, and render the report. compare
 // always exits 0 on a well-formed comparison; gate exits 1 when any
-// metric regressed or the ledgers share no fingerprint group.
+// metric regressed or changed, or when no metric could be judged.
 func benchCompare(args []string, gate bool) int {
 	name := "compare"
 	if gate {
@@ -217,8 +218,11 @@ func benchCompare(args []string, gate bool) int {
 		return 2
 	}
 	if gate && !rep.Pass() {
-		if len(rep.Groups) == 0 {
+		switch {
+		case len(rep.Groups) == 0:
 			fmt.Fprintf(os.Stderr, "dtmsched bench gate: %s and %s share no fingerprint group; nothing was compared\n", rest[0], rest[1])
+		case rep.Judged == 0:
+			fmt.Fprintf(os.Stderr, "dtmsched bench gate: %s and %s share no metric that could be judged; nothing was compared\n", rest[0], rest[1])
 		}
 		return 1
 	}

@@ -20,10 +20,12 @@ func writeTestLedger(t *testing.T, path, suite string, stageMS float64) {
 	for trial := 0; trial < 3; trial++ {
 		rec := obs.RunRecord{
 			Experiment: "bench/x", Config: map[string]string{"suite": suite}, Trial: trial,
-			StageMS:  map[string]float64{"measure": stageMS},
-			TotalMS:  stageMS + 2,
-			SimSteps: 100, ObjectMoves: 300, Executed: 10, Makespan: 100,
-			LatencyP50: 3, LatencyP99: 9,
+			Measures: obs.Measures{Metrics: map[string]float64{
+				"engine_stage_wall_us{stage=measure}": stageMS * 1000,
+				"total_ms":                            stageMS + 2,
+				"sim_steps_total":                     100,
+				"txns_executed_total":                 10,
+			}},
 		}
 		if err := l.Append(&rec); err != nil {
 			t.Fatal(err)
@@ -103,8 +105,8 @@ func TestBenchRecordSmoke(t *testing.T) {
 		if r.Config["suite"] != "smoke" || r.Config["job"] == "" {
 			t.Errorf("record config = %v, want suite and job", r.Config)
 		}
-		if r.Makespan <= 0 || r.SimSteps <= 0 {
-			t.Errorf("record %s carries no measurements: %+v", r.Experiment, r)
+		if r.Metrics["makespan_steps_max"] <= 0 || r.Metrics["sim_steps_total"] <= 0 {
+			t.Errorf("record %s carries no measurements: %v", r.Experiment, r.Metrics)
 		}
 	}
 	if code := runBenchCmd([]string{"gate", ledger, ledger}); code != 0 {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -10,6 +11,10 @@ import (
 
 	"dtmsched/internal/obs"
 )
+
+// anyTiming judges two runs' counts while letting their wall times
+// differ by any amount.
+var anyTiming = obs.Thresholds{Time: math.Inf(1)}
 
 // TestServeSmoke drains a short seeded stream through the in-process
 // serve command, then checks the ledger record it appends (stream
@@ -43,22 +48,22 @@ func TestServeSmoke(t *testing.T) {
 	if a.Fingerprint != b.Fingerprint {
 		t.Errorf("same flags, different fingerprints: %s vs %s", a.Fingerprint, b.Fingerprint)
 	}
-	if a.StreamAdmitted != b.StreamAdmitted || a.StreamRejected != b.StreamRejected ||
-		a.StreamWindows != b.StreamWindows || a.Executed != b.Executed {
-		t.Errorf("same seed, different stream counters:\n%+v\n%+v", a, b)
+	if rep := obs.Compare(recs[:1], recs[1:], anyTiming); !rep.Pass() {
+		t.Errorf("same seed, different counts: %d metrics changed", rep.Regressions)
 	}
-	if a.StreamAdmitted == 0 || a.StreamAdmitted != a.Executed {
-		t.Errorf("admitted %d must be nonzero and equal committed %d", a.StreamAdmitted, a.Executed)
+	admitted, committed := a.Metrics["stream_admitted_total"], a.Metrics["stream_committed_total"]
+	if admitted == 0 || admitted != committed {
+		t.Errorf("admitted %g must be nonzero and equal committed %g", admitted, committed)
 	}
-	if a.StreamWindows < 2 || a.StreamQueuePeak < 1 || a.StreamQueuePeak > 6 {
-		t.Errorf("implausible stream shape: %+v", a)
+	windows, peak := a.Metrics["stream_windows_total"], a.Metrics["stream_queue_depth_peak"]
+	if a.Metrics["stream_rejected_total"] == 0 || windows < 2 || peak < 1 || peak > 6 {
+		t.Errorf("implausible stream shape: %v", a.Metrics)
 	}
-	if a.WindowLatency == nil || a.WindowLatency.Count != a.StreamWindows {
-		t.Errorf("window latency distribution missing or mismatched: %+v", a.WindowLatency)
+	if h := a.Hists["stream_window_latency_steps"]; h == nil || float64(h.Count) != windows {
+		t.Errorf("window latency distribution missing or mismatched: %+v", h)
 	}
-	if a.Latency == nil || a.Latency.Count != a.Executed || a.LatencyP99 < a.LatencyP50 {
-		t.Errorf("response distribution missing or mismatched: %+v p50=%d p99=%d",
-			a.Latency, a.LatencyP50, a.LatencyP99)
+	if h := a.Hists["stream_txn_response_steps"]; h == nil || float64(h.Count) != committed {
+		t.Errorf("response distribution missing or mismatched: %+v", h)
 	}
 
 	if code := runBenchCmd([]string{"gate", ledger, ledger}); code != 0 {
@@ -109,21 +114,24 @@ func TestServeChaosSmoke(t *testing.T) {
 	if a.Fingerprint != b.Fingerprint {
 		t.Errorf("same chaos flags, different fingerprints: %s vs %s", a.Fingerprint, b.Fingerprint)
 	}
-	if a.StreamRequeued != b.StreamRequeued || a.StreamShed != b.StreamShed ||
-		a.StreamAdmitted != b.StreamAdmitted || a.StreamInflation != b.StreamInflation {
-		t.Errorf("chaos run not deterministic:\n%+v\n%+v", a, b)
+	if rep := obs.Compare(recs[:1], recs[1:2], anyTiming); !rep.Pass() {
+		t.Errorf("chaos run not deterministic: %d metrics changed", rep.Regressions)
 	}
-	if a.StreamRequeued == 0 {
-		t.Errorf("25%% chaos never requeued a transaction: %+v", a)
+	m := a.Metrics
+	if m["stream_requeue_total"] == 0 {
+		t.Errorf("25%% chaos never requeued a transaction: %v", m)
 	}
-	if a.StreamAdmitted != a.Executed+a.StreamShed {
-		t.Errorf("admitted %d != committed %d + shed %d", a.StreamAdmitted, a.Executed, a.StreamShed)
+	if m["stream_admitted_total"] != m["stream_committed_total"]+m["stream_shed_total"] {
+		t.Errorf("admitted %g != committed %g + shed %g",
+			m["stream_admitted_total"], m["stream_committed_total"], m["stream_shed_total"])
 	}
 	if clean.Fingerprint == a.Fingerprint {
 		t.Error("chaos and fault-free runs share a ledger fingerprint")
 	}
-	if clean.StreamRequeued != 0 || clean.StreamShed != 0 || clean.StreamInflation != 0 {
-		t.Errorf("fault-free record carries fault counters: %+v", clean)
+	for _, name := range []string{"stream_requeue_total", "stream_shed_total", "stream_fault_degraded_total"} {
+		if v, ok := clean.Metrics[name]; ok {
+			t.Errorf("fault-free record carries %s = %g", name, v)
+		}
 	}
 	if code := runBenchCmd([]string{"gate", ledger, ledger}); code != 0 {
 		t.Errorf("gating the chaos ledger against itself exited %d, want 0", code)

@@ -48,16 +48,28 @@ func TestComposerBatchShift(t *testing.T) {
 }
 
 func TestComposerBatchesSerializeAfterClock(t *testing.T) {
-	in := composerInstance()
+	// Two transactions on different nodes, each using its own object
+	// homed at its node: no transfer or node conflict can delay either,
+	// so only the composer's clock can push the second batch.
+	g := graph.New(2)
+	g.AddUnitEdge(0, 1)
+	in := tm.NewInstance(g, nil, 2, []tm.Txn{
+		{Node: 0, Objects: []tm.ObjectID{0}},
+		{Node: 1, Objects: []tm.ObjectID{1}},
+	}, []graph.NodeID{0, 1})
 	c := newComposer(in)
-	c.appendBatch([]tm.TxnID{2}, []int64{4}) // t2 = 4 + δ(home dist 0 + obj0 dist 4 → δ=0) = 4
-	if c.sched.Times[2] != 4 {
-		t.Fatalf("t2 = %d, want 4", c.sched.Times[2])
+	c.appendBatch([]tm.TxnID{1}, []int64{4}) // δ = 0: t1 = 4
+	if c.sched.Times[1] != 4 {
+		t.Fatalf("t1 = %d, want 4", c.sched.Times[1])
 	}
-	// Next batch must start strictly after step 4 even without conflicts.
+	// Alone, txn 0 could run at step 1; the batch must start after the
+	// clock (step 4), so δ = 4 and t0 = 5.
 	c.appendBatch([]tm.TxnID{0}, []int64{1})
-	if c.sched.Times[0] <= 4 {
-		t.Fatalf("batch not serialized: t0 = %d", c.sched.Times[0])
+	if c.sched.Times[0] != 5 {
+		t.Fatalf("batch not serialized after the clock: t0 = %d, want 5", c.sched.Times[0])
+	}
+	if err := c.finish().Validate(in); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -49,23 +49,27 @@ func LedgerHook(l *obs.Ledger, base obs.RunRecord) Hook {
 
 		r := ev.Report
 		rec.Algorithm = r.Algorithm
-		rec.StageMS = map[string]float64{
-			"generate": ms(r.Timing.Generate),
-			"schedule": ms(r.Timing.Schedule),
-			"verify":   ms(r.Timing.Verify),
-			"measure":  ms(r.Timing.Measure),
+		// The registry's names for what the Collector would have counted
+		// for this job alone: a shared registry cannot attribute metrics
+		// per job under RunBatch workers, so the hook reads the Report.
+		m := map[string]float64{
+			"total_ms":             ms(r.Timing.Total),
+			"sim_steps_total":      float64(r.Counters.SimSteps),
+			"object_moves_total":   float64(r.Counters.ObjectMoves),
+			"txns_executed_total":  float64(r.Counters.Executed),
+			"makespan_steps_max":   float64(r.Makespan),
+			"lower_bound_steps":    float64(r.Bound.Value),
+			"makespan_bound_ratio": r.Ratio,
 		}
-		rec.TotalMS = ms(r.Timing.Total)
-		rec.SimSteps = r.Counters.SimSteps
-		rec.ObjectMoves = r.Counters.ObjectMoves
-		rec.Executed = r.Counters.Executed
-		rec.Makespan = r.Makespan
-		rec.Bound = r.Bound.Value
-		rec.Ratio = r.Ratio
+		for stage, d := range map[string]time.Duration{
+			"generate": r.Timing.Generate, "schedule": r.Timing.Schedule,
+			"verify": r.Timing.Verify, "measure": r.Timing.Measure,
+		} {
+			m["engine_stage_wall_us{stage="+stage+"}"] = float64(d.Microseconds())
+		}
+		rec.Measures = obs.Measures{Metrics: m}
 		if r.Schedule != nil {
-			rec.Latency = obs.SnapshotValues(r.Schedule.Times)
-			q := obs.Quantiles(r.Schedule.Times, 0.50, 0.99)
-			rec.LatencyP50, rec.LatencyP99 = q[0], q[1]
+			rec.Hists = map[string]*obs.HistSnapshot{"txn_latency_steps": obs.SnapshotValues(r.Schedule.Times)}
 		}
 		l.Append(&rec)
 	}

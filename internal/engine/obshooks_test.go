@@ -65,21 +65,19 @@ func TestLedgerHook(t *testing.T) {
 			t.Error("algorithm not recorded")
 		}
 		for _, stage := range []string{"generate", "schedule", "verify", "measure"} {
-			if _, ok := r.StageMS[stage]; !ok {
-				t.Errorf("stage_ms missing %q", stage)
+			if _, ok := r.Metrics["engine_stage_wall_us{stage="+stage+"}"]; !ok {
+				t.Errorf("stage %q wall time missing", stage)
 			}
 		}
-		if r.SimSteps <= 0 || r.Executed <= 0 || r.Makespan <= 0 {
-			t.Errorf("counters not recorded: %+v", r)
+		executed := r.Metrics["txns_executed_total"]
+		if r.Metrics["sim_steps_total"] <= 0 || executed <= 0 || r.Metrics["makespan_steps_max"] <= 0 {
+			t.Errorf("counters not recorded: %v", r.Metrics)
 		}
-		if r.Bound <= 0 || r.Ratio <= 0 {
-			t.Errorf("bound/ratio not recorded: bound=%d ratio=%g", r.Bound, r.Ratio)
+		if r.Metrics["lower_bound_steps"] <= 0 || r.Metrics["makespan_bound_ratio"] <= 0 {
+			t.Errorf("bound/ratio not recorded: %v", r.Metrics)
 		}
-		if r.Latency == nil || r.Latency.Count != r.Executed {
-			t.Errorf("latency snapshot missing or wrong size: %+v", r.Latency)
-		}
-		if r.LatencyP99 < r.LatencyP50 {
-			t.Errorf("p99 %d < p50 %d", r.LatencyP99, r.LatencyP50)
+		if h := r.Hists["txn_latency_steps"]; h == nil || float64(h.Count) != executed {
+			t.Errorf("latency snapshot missing or wrong size: %+v", h)
 		}
 		if r.Env == (obs.Env{}) {
 			t.Error("env not captured")

@@ -1,10 +1,12 @@
 // Regression engine over run ledgers: group RunRecords by configuration
 // fingerprint, reduce each metric to a robust location estimate (median
 // plus MAD across trials and repeated runs), and judge the old→new delta
-// per metric class. Wall-time metrics tolerate a configurable relative
-// slack above a noise floor; deterministic counters (simulator steps,
-// object moves, makespan, latency quantiles) are expected to reproduce
-// exactly and any drift is flagged.
+// per metric class, which is read from the metric's name. Wall-time
+// metrics tolerate a configurable relative slack above a noise floor and
+// are judged only when both ledgers ran in the same environment;
+// deterministic counts (simulator steps, object moves, makespan, pooled
+// latency quantiles) are expected to reproduce exactly on any machine,
+// and drift in either direction fails.
 //
 // The comparator is the pass/fail core behind `dtmsched bench compare`
 // and `dtmsched bench gate`: Compare never errors on mismatched ledgers
@@ -28,8 +30,8 @@ const (
 	ClassTime = "time"
 	// ClassCount marks deterministic metrics: expected to reproduce
 	// exactly for a fixed fingerprint and seed, judged against
-	// Thresholds.Count (default 0 — any increase regresses, any
-	// decrease improves).
+	// Thresholds.Count (default 0 — any change in either direction
+	// fails).
 	ClassCount = "count"
 )
 
@@ -74,12 +76,18 @@ const (
 	VerdictOK          = "ok"
 	VerdictRegression  = "regression"
 	VerdictImprovement = "improvement"
+	// VerdictChanged marks a count metric that drifted beyond
+	// Thresholds.Count, in either direction; it fails the gate.
+	VerdictChanged = "changed"
+	// VerdictNotComparable marks a time metric from ledgers recorded in
+	// different environments; it is reported but not judged.
+	VerdictNotComparable = "not comparable"
 )
 
 // MetricDelta is one metric's old→new judgment within a fingerprint
 // group.
 type MetricDelta struct {
-	// Metric is the metric name ("stage_ms/measure", "simsteps", …).
+	// Metric is the metric name ("sim_steps_total", "total_ms", …).
 	Metric string `json:"metric"`
 	// Class is ClassTime or ClassCount.
 	Class string `json:"class"`
@@ -95,7 +103,7 @@ type MetricDelta struct {
 	// Delta is the relative change (new-old)/old; +Inf-free: 0 when old
 	// is 0 and new is 0, 1 when old is 0 and new is not.
 	Delta float64 `json:"delta"`
-	// Verdict is VerdictOK, VerdictRegression, or VerdictImprovement.
+	// Verdict is one of the Verdict* constants.
 	Verdict string `json:"verdict"`
 }
 
@@ -114,73 +122,48 @@ type CompareReport struct {
 	// Groups holds per-fingerprint metric deltas, sorted by
 	// (experiment, fingerprint).
 	Groups []GroupDelta `json:"groups"`
-	// Regressions / Improvements count judged metrics across all groups.
+	// Judged counts the metrics given a verdict across all groups (every
+	// metric except the not-comparable ones).
+	Judged int `json:"judged"`
+	// Regressions counts the failing verdicts (time regressions and
+	// changed counts); Improvements counts time improvements.
 	Regressions  int `json:"regressions"`
 	Improvements int `json:"improvements"`
 	// OnlyOld / OnlyNew list experiments whose fingerprints appear on a
 	// single side (configuration drift, new benchmarks); informational.
 	OnlyOld []string `json:"only_old,omitempty"`
 	OnlyNew []string `json:"only_new,omitempty"`
-	// EnvMismatch warns when the two sides ran in different
-	// environments (GOOS/GOARCH/GOMAXPROCS/CPU count); wall-time deltas
-	// across environments are suspect.
+	// EnvMismatch names how the two sides' environments differ
+	// (GOOS/GOARCH/GOMAXPROCS/CPU count); when set, time metrics are
+	// not comparable and only counts are judged.
 	EnvMismatch string `json:"env_mismatch,omitempty"`
 }
 
 // Pass reports whether the comparison is regression-free. A comparison
-// that matched no fingerprint group compared nothing and does not pass.
-func (r *CompareReport) Pass() bool { return len(r.Groups) > 0 && r.Regressions == 0 }
+// that judged no metric (no common fingerprint group, or only time
+// metrics across environments) compared nothing and does not pass.
+func (r *CompareReport) Pass() bool { return r.Judged > 0 && r.Regressions == 0 }
 
-// metricVal is one extracted (name, class, value) triple.
-type metricVal struct {
-	name  string
-	class string
-	value float64
-}
-
-// gateMetrics extracts the judged metrics of one record. Identity fields
-// (bound, ratio, seed) and the environment are deliberately excluded —
-// they contextualize a record but are not performance.
-func gateMetrics(r *RunRecord) []metricVal {
-	var out []metricVal
-	for stage, ms := range r.StageMS {
-		out = append(out, metricVal{"stage_ms/" + stage, ClassTime, ms})
+// metricClass reads a metric's class from its name: after stripping a
+// label block ("{…}") or v1 sub-key ("/<stage>"), a trailing "_total",
+// and a pooled-quantile suffix ("_p50", "_p99"), a name ending in "_ns",
+// "_us" or "_ms" is a time metric; toMS converts its values to
+// milliseconds. Every other name is a count metric.
+func metricClass(name string) (class string, toMS float64) {
+	if i := strings.IndexAny(name, "{/"); i >= 0 {
+		name = name[:i]
 	}
-	if r.TotalMS > 0 {
-		out = append(out, metricVal{"total_ms", ClassTime, r.TotalMS})
+	name = strings.TrimSuffix(name, "_total")
+	name = strings.TrimSuffix(strings.TrimSuffix(name, "_p50"), "_p99")
+	switch {
+	case strings.HasSuffix(name, "_ns"):
+		return ClassTime, 1e-6
+	case strings.HasSuffix(name, "_us"):
+		return ClassTime, 1e-3
+	case strings.HasSuffix(name, "_ms"):
+		return ClassTime, 1
 	}
-	if r.LowerMS > 0 {
-		out = append(out, metricVal{"lower_ms", ClassTime, r.LowerMS})
-	}
-	for _, c := range []struct {
-		name string
-		v    int64
-	}{
-		{"simsteps", r.SimSteps},
-		{"objmoves", r.ObjectMoves},
-		{"executed", r.Executed},
-		{"makespan", r.Makespan},
-		{"latency_p50", r.LatencyP50},
-		{"latency_p99", r.LatencyP99},
-		{"stream_admitted", r.StreamAdmitted},
-		{"stream_rejected", r.StreamRejected},
-		{"stream_blocked", r.StreamBlocked},
-		{"stream_windows", r.StreamWindows},
-		{"stream_queue_peak", r.StreamQueuePeak},
-		{"stream_requeued", r.StreamRequeued},
-		{"stream_shed", r.StreamShed},
-		{"stream_degraded", r.StreamDegraded},
-		{"stream_breaker_trips", r.StreamTrips},
-		{"stream_breaker_recoveries", r.StreamRecoveries},
-	} {
-		if c.v != 0 {
-			out = append(out, metricVal{c.name, ClassCount, float64(c.v)})
-		}
-	}
-	if r.StreamInflation > 0 {
-		out = append(out, metricVal{"stream_inflation", ClassCount, r.StreamInflation})
-	}
-	return out
+	return ClassCount, 0
 }
 
 // group is the per-side accumulation of one fingerprint.
@@ -188,9 +171,7 @@ type group struct {
 	experiment string
 	config     map[string]string
 	values     map[string][]float64 // metric → observations
-	classes    map[string]string
-	latency    *HistSnapshot
-	hasLatency bool
+	hists      map[string]*HistSnapshot
 }
 
 // accumulate folds records into fingerprint groups.
@@ -204,28 +185,25 @@ func accumulate(recs []RunRecord) map[string]*group {
 				experiment: r.Experiment,
 				config:     r.Config,
 				values:     map[string][]float64{},
-				classes:    map[string]string{},
+				hists:      map[string]*HistSnapshot{},
 			}
 			out[r.Fingerprint] = g
 		}
-		for _, mv := range gateMetrics(r) {
-			g.values[mv.name] = append(g.values[mv.name], mv.value)
-			g.classes[mv.name] = mv.class
+		for name, v := range r.Metrics {
+			g.values[name] = append(g.values[name], v)
 		}
-		if r.Latency != nil {
-			g.latency = MergeHist(g.latency, r.Latency)
-			g.hasLatency = true
+		for name, h := range r.Hists {
+			g.hists[name] = MergeHist(g.hists[name], h)
 		}
 	}
-	// Pooled latency quantiles replace the per-record medians when every
-	// contributing record carried the full distribution: merging the
-	// histograms and taking one quantile is the MergeHist consumer the
-	// comparator exists for.
+	// Each histogram is judged by the p50/p99 of its pooled distribution
+	// (replacing any per-record quantile of the same name): merging the
+	// trials and taking one quantile keeps a tail that a median of
+	// per-trial quantiles would flatten.
 	for _, g := range out {
-		if g.hasLatency {
-			g.values["latency_p50"] = []float64{float64(g.latency.Quantile(0.50))}
-			g.values["latency_p99"] = []float64{float64(g.latency.Quantile(0.99))}
-			g.classes["latency_p50"], g.classes["latency_p99"] = ClassCount, ClassCount
+		for name, h := range g.hists {
+			g.values[name+"_p50"] = []float64{float64(h.Quantile(0.50))}
+			g.values[name+"_p99"] = []float64{float64(h.Quantile(0.99))}
 		}
 	}
 	return out
@@ -264,10 +242,7 @@ func Compare(old, new []RunRecord, th Thresholds) *CompareReport {
 	th = th.normalized()
 	rep := &CompareReport{Thresholds: th}
 	oldG, newG := accumulate(old), accumulate(new)
-
-	if msg := envMismatch(old, new); msg != "" {
-		rep.EnvMismatch = msg
-	}
+	rep.EnvMismatch = envMismatch(old, new)
 
 	var fps []string
 	for fp := range oldG {
@@ -304,16 +279,21 @@ func Compare(old, new []RunRecord, th Thresholds) *CompareReport {
 		sort.Strings(names)
 		for _, name := range names {
 			ov, nv := og.values[name], ng.values[name]
+			class, toMS := metricClass(name)
 			md := MetricDelta{
-				Metric: name, Class: og.classes[name],
+				Metric: name, Class: class,
 				Old: median(ov), New: median(nv),
 				OldN: len(ov), NewN: len(nv),
 			}
 			md.OldMAD, md.NewMAD = mad(ov, md.Old), mad(nv, md.New)
 			md.Delta = relDelta(md.Old, md.New)
-			md.Verdict = judge(md, th)
+			md.Verdict = VerdictNotComparable
+			if class == ClassCount || rep.EnvMismatch == "" {
+				md.Verdict = judge(md, toMS, th)
+				rep.Judged++
+			}
 			switch md.Verdict {
-			case VerdictRegression:
+			case VerdictRegression, VerdictChanged:
 				rep.Regressions++
 			case VerdictImprovement:
 				rep.Improvements++
@@ -337,12 +317,13 @@ func relDelta(old, new float64) float64 {
 	return (new - old) / old
 }
 
-// judge applies the per-class rule to one metric delta.
-func judge(md MetricDelta, th Thresholds) string {
+// judge applies the per-class rule to one metric delta; toMS converts a
+// time metric's values to milliseconds for the MinTimeMS floor.
+func judge(md MetricDelta, toMS float64, th Thresholds) string {
 	diff := md.New - md.Old
 	switch md.Class {
 	case ClassTime:
-		if math.Abs(diff) < th.MinTimeMS {
+		if math.Abs(diff)*toMS < th.MinTimeMS {
 			return VerdictOK
 		}
 		floor := th.MADFactor * math.Max(md.OldMAD, md.NewMAD)
@@ -353,11 +334,8 @@ func judge(md MetricDelta, th Thresholds) string {
 			return VerdictImprovement
 		}
 	default: // ClassCount
-		if md.Delta > th.Count {
-			return VerdictRegression
-		}
-		if md.Delta < -th.Count {
-			return VerdictImprovement
+		if math.Abs(md.Delta) > th.Count {
+			return VerdictChanged
 		}
 	}
 	return VerdictOK
@@ -383,39 +361,42 @@ func envMismatch(old, new []RunRecord) string {
 }
 
 // WriteText renders the report for terminals: the summary line, every
-// regression and improvement, one-sided fingerprints, and a per-group
-// ok count so silence never reads as "not checked".
+// failing or improved metric, one-sided fingerprints, and per-group ok
+// and not-comparable counts so silence never reads as "not checked".
 func (r *CompareReport) WriteText(w io.Writer) error {
 	status := "PASS"
 	if !r.Pass() {
 		status = "FAIL"
 	}
-	if _, err := fmt.Fprintf(w, "%s: %d fingerprint groups, %d regressions, %d improvements\n",
-		status, len(r.Groups), r.Regressions, r.Improvements); err != nil {
+	if _, err := fmt.Fprintf(w, "%s: %d fingerprint groups, %d metrics judged, %d regressions, %d improvements\n",
+		status, len(r.Groups), r.Judged, r.Regressions, r.Improvements); err != nil {
 		return err
 	}
 	if r.EnvMismatch != "" {
-		fmt.Fprintf(w, "warning: environment mismatch (%s) — wall-time deltas are suspect\n", r.EnvMismatch)
+		fmt.Fprintf(w, "warning: environment mismatch (%s) — time metrics not comparable, counts judged\n", r.EnvMismatch)
 	}
-	if len(r.Groups) == 0 {
+	switch {
+	case len(r.Groups) == 0:
 		fmt.Fprintln(w, "  no fingerprint group is in both ledgers: nothing was compared")
+	case r.Judged == 0:
+		fmt.Fprintln(w, "  no metric in common could be judged: nothing was compared")
 	}
+	marks := map[string]string{VerdictRegression: "REGRESSED", VerdictChanged: "CHANGED", VerdictImprovement: "IMPROVED"}
 	for _, g := range r.Groups {
-		ok := 0
+		ok, nc := 0, 0
 		for _, m := range g.Metrics {
-			if m.Verdict == VerdictOK {
+			switch m.Verdict {
+			case VerdictOK:
 				ok++
-				continue
+			case VerdictNotComparable:
+				nc++
+			default:
+				fmt.Fprintf(w, "  %-9s %s [%s] %-20s %s -> %s (%+.1f%%, n=%d/%d)\n",
+					marks[m.Verdict], g.Experiment, g.Fingerprint[:8], m.Metric,
+					fmtVal(m.Old), fmtVal(m.New), m.Delta*100, m.OldN, m.NewN)
 			}
-			mark := "IMPROVED"
-			if m.Verdict == VerdictRegression {
-				mark = "REGRESSED"
-			}
-			fmt.Fprintf(w, "  %-9s %s [%s] %-20s %s -> %s (%+.1f%%, n=%d/%d)\n",
-				mark, g.Experiment, g.Fingerprint[:8], m.Metric,
-				fmtVal(m.Old), fmtVal(m.New), m.Delta*100, m.OldN, m.NewN)
 		}
-		fmt.Fprintf(w, "  %s [%s]: %d metrics ok\n", g.Experiment, g.Fingerprint[:8], ok)
+		fmt.Fprintf(w, "  %s [%s]: %d metrics ok, %d not comparable\n", g.Experiment, g.Fingerprint[:8], ok, nc)
 	}
 	for _, s := range r.OnlyOld {
 		fmt.Fprintf(w, "  only in OLD: %s\n", s)

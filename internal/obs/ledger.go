@@ -27,7 +27,7 @@ import (
 // LedgerSchemaVersion is the RunRecord schema this package writes.
 // Readers accept any version ≤ the current one; unknown newer versions
 // are a hard error rather than a silent misparse.
-const LedgerSchemaVersion = 1
+const LedgerSchemaVersion = 2
 
 // Env captures the execution environment of a record. Environment fields
 // never enter the fingerprint — records from different machines share a
@@ -184,11 +184,10 @@ func SnapshotValues(values []int64) *HistSnapshot {
 }
 
 // RunRecord is one canonical ledger entry: the identity of what ran
-// (experiment, fingerprint, config, seed), what it measured (per-stage
-// wall times, simulator counters, lower-bound oracle stats, latency),
-// and where it ran (Env). Wall-time fields are the only
-// non-deterministic ones; everything else is reproducible from the
-// fingerprint and seed.
+// (experiment, fingerprint, config, seed), what it measured (Measures,
+// keyed by registry metric name), and where it ran (Env). Wall-time
+// metrics are the only non-deterministic ones; everything else is
+// reproducible from the fingerprint and seed.
 type RunRecord struct {
 	// Schema is the record's LedgerSchemaVersion (filled by Append).
 	Schema int `json:"schema"`
@@ -210,56 +209,50 @@ type RunRecord struct {
 	// Algorithm names the schedule producer for per-job records.
 	Algorithm string `json:"algorithm,omitempty"`
 
-	// StageMS maps pipeline stage name → wall milliseconds.
-	StageMS map[string]float64 `json:"stage_ms,omitempty"`
-	// TotalMS is the whole run's wall time in milliseconds.
-	TotalMS float64 `json:"total_ms,omitempty"`
-
-	// SimSteps / ObjectMoves / Executed are the simulator counters.
-	SimSteps    int64 `json:"simsteps,omitempty"`
-	ObjectMoves int64 `json:"objmoves,omitempty"`
-	Executed    int64 `json:"executed,omitempty"`
-	// Makespan / Bound / Ratio measure schedule quality (per-job records).
-	Makespan int64   `json:"makespan,omitempty"`
-	Bound    int64   `json:"bound,omitempty"`
-	Ratio    float64 `json:"ratio,omitempty"`
-
-	// Lower* are the certified-bound oracle stats.
-	LowerMS           float64 `json:"lower_ms,omitempty"`
-	LowerComputations int64   `json:"lower_computations,omitempty"`
-	LowerCacheHits    int64   `json:"lower_cache_hits,omitempty"`
-
-	// LatencyP50 / LatencyP99 are per-transaction commit-step quantiles;
-	// Latency is the full distribution they were read from, kept so the
-	// comparator can pool trials.
-	LatencyP50 int64         `json:"latency_p50,omitempty"`
-	LatencyP99 int64         `json:"latency_p99,omitempty"`
-	Latency    *HistSnapshot `json:"latency,omitempty"`
-
-	// Stream* summarize a streaming-service run (dtmsched serve):
-	// admission-control outcomes, window count, queue peak, and the
-	// cut-to-last-commit window-latency distribution. All zero/nil for
-	// batch records, so pre-existing ledgers compare unchanged.
-	StreamAdmitted  int64         `json:"stream_admitted,omitempty"`
-	StreamRejected  int64         `json:"stream_rejected,omitempty"`
-	StreamBlocked   int64         `json:"stream_blocked,omitempty"`
-	StreamWindows   int64         `json:"stream_windows,omitempty"`
-	StreamQueuePeak int64         `json:"stream_queue_peak,omitempty"`
-	WindowLatency   *HistSnapshot `json:"window_latency,omitempty"`
-
-	// StreamFault* summarize the fault-tolerance layer of a chaos serving
-	// run: requeues and sheds from the health tracker, degraded windows
-	// and their mean makespan inflation, and breaker transitions. All zero
-	// for fault-free runs, so zero-fault records stay byte-identical.
-	StreamRequeued   int64   `json:"stream_requeued,omitempty"`
-	StreamShed       int64   `json:"stream_shed,omitempty"`
-	StreamDegraded   int64   `json:"stream_degraded,omitempty"`
-	StreamInflation  float64 `json:"stream_inflation,omitempty"`
-	StreamTrips      int64   `json:"stream_breaker_trips,omitempty"`
-	StreamRecoveries int64   `json:"stream_breaker_recoveries,omitempty"`
+	Measures
 
 	// Env is the execution environment.
 	Env Env `json:"env"`
+}
+
+// Measures is what a run measured, keyed by registry metric name
+// ("sim_steps_total", "engine_stage_wall_us{stage=measure}"). The
+// comparator reads each metric's class from its name (see metricClass),
+// so a metric a subsystem registers reaches records and the gate with
+// no schema edit.
+type Measures struct {
+	// Metrics holds counters (the run's delta), gauges, and the run's
+	// wall time as "total_ms".
+	Metrics map[string]float64 `json:"metrics,omitempty"`
+	// Hists holds the run's histogram deltas; the comparator pools them
+	// across trials and judges their p50/p99.
+	Hists map[string]*HistSnapshot `json:"hists,omitempty"`
+}
+
+// MeasureDelta builds the Measures of the interval between two
+// Registry.Snapshot samples (prev may be nil for "since the
+// beginning"): counters become deltas, histograms become HistDelta, and
+// gauges take their value at cur. Metrics that did not move in the
+// interval are left out, which keeps a max-gauge history-independent: if
+// it moved, its value is the interval's own maximum.
+func MeasureDelta(prev, cur []Sample) Measures {
+	before := make(map[string]Sample, len(prev))
+	for _, s := range prev {
+		before[s.Name] = s
+	}
+	m := Measures{Metrics: map[string]float64{}, Hists: map[string]*HistSnapshot{}}
+	for _, s := range cur {
+		p := before[s.Name]
+		switch {
+		case s.Kind == "histogram" && s.Count != p.Count:
+			m.Hists[s.Name] = HistDelta(s, p)
+		case s.Kind == "counter" && s.Value != p.Value:
+			m.Metrics[s.Name] = float64(s.Value - p.Value)
+		case s.Kind == "gauge" && s.Value != p.Value:
+			m.Metrics[s.Name] = float64(s.Value)
+		}
+	}
+	return m
 }
 
 // Fingerprint hashes an experiment name and its configuration map into
@@ -358,12 +351,57 @@ func ReadLedger(r io.Reader) ([]RunRecord, error) {
 			return nil, fmt.Errorf("ledger line %d: schema %d not supported (this build reads ≤ %d)",
 				line, rec.Schema, LedgerSchemaVersion)
 		}
+		if rec.Schema == 1 {
+			if err := readV1Measures(text, &rec.Measures); err != nil {
+				return nil, fmt.Errorf("ledger line %d: %w", line, err)
+			}
+		}
 		out = append(out, rec)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// readV1Measures lifts a schema-1 record's per-field measurements into
+// Measures by one generic rule: every numeric top-level key that is not
+// an identity field becomes a metric under its v1 key, each "stage_ms"
+// entry becomes "stage_ms/<stage>", and the "latency" and
+// "window_latency" distributions become histograms. A v1-vs-v1
+// comparison therefore judges what the v1 gate judged, plus the fields
+// it recorded but never read.
+func readV1Measures(text []byte, m *Measures) error {
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(text, &raw); err != nil {
+		return err
+	}
+	m.Metrics, m.Hists = map[string]float64{}, map[string]*HistSnapshot{}
+	for k, v := range raw {
+		var x float64
+		switch k {
+		case "schema", "seed", "trial":
+		case "stage_ms":
+			var stages map[string]float64
+			if err := json.Unmarshal(v, &stages); err != nil {
+				return fmt.Errorf("stage_ms: %w", err)
+			}
+			for stage, ms := range stages {
+				m.Metrics["stage_ms/"+stage] = ms
+			}
+		case "latency", "window_latency":
+			h := &HistSnapshot{}
+			if err := json.Unmarshal(v, h); err != nil {
+				return fmt.Errorf("%s: %w", k, err)
+			}
+			m.Hists[k] = h
+		default:
+			if json.Unmarshal(v, &x) == nil {
+				m.Metrics[k] = x
+			}
+		}
+	}
+	return nil
 }
 
 // ReadLedgerFile reads a ledger from a file path.

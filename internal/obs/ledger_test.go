@@ -13,10 +13,12 @@ func TestLedgerRoundTrip(t *testing.T) {
 	l := NewLedger(&buf)
 	recs := []*RunRecord{
 		{Experiment: "E1", Config: map[string]string{"quick": "true"}, Seed: 7,
-			StageMS: map[string]float64{"schedule": 1.5}, TotalMS: 10,
-			SimSteps: 42, ObjectMoves: 9, Executed: 5, Makespan: 12, Bound: 10, Ratio: 1.2,
-			LatencyP50: 3, LatencyP99: 8,
-			Latency: &HistSnapshot{Count: 5, Sum: 20, Max: 8, Buckets: []Bucket{{LE: 4, N: 3}, {LE: 8, N: 2}}}},
+			Measures: Measures{
+				Metrics: map[string]float64{"engine_stage_wall_us{stage=schedule}": 1500, "total_ms": 10,
+					"sim_steps_total": 42, "makespan_steps_max": 12, "makespan_bound_ratio": 1.2},
+				Hists: map[string]*HistSnapshot{"txn_latency_steps": {Count: 5, Sum: 20, Max: 8,
+					Buckets: []Bucket{{LE: 4, N: 3}, {LE: 8, N: 2}}}},
+			}},
 		{Experiment: "E2", Trial: 2},
 	}
 	for _, r := range recs {
@@ -45,14 +47,90 @@ func TestLedgerRoundTrip(t *testing.T) {
 	if r.Env == (Env{}) {
 		t.Error("Append must fill Env")
 	}
-	if r.SimSteps != 42 || r.Makespan != 12 || r.StageMS["schedule"] != 1.5 {
-		t.Errorf("measurement fields did not round-trip: %+v", r)
+	if r.Metrics["sim_steps_total"] != 42 || r.Metrics["makespan_bound_ratio"] != 1.2 ||
+		r.Metrics["engine_stage_wall_us{stage=schedule}"] != 1500 {
+		t.Errorf("metrics did not round-trip: %+v", r.Metrics)
 	}
-	if r.Latency == nil || r.Latency.Count != 5 || len(r.Latency.Buckets) != 2 {
-		t.Errorf("latency snapshot did not round-trip: %+v", r.Latency)
+	if h := r.Hists["txn_latency_steps"]; h == nil || h.Count != 5 || len(h.Buckets) != 2 {
+		t.Errorf("latency snapshot did not round-trip: %+v", h)
 	}
 	if got[1].Trial != 2 {
 		t.Errorf("trial = %d, want 2", got[1].Trial)
+	}
+}
+
+// TestReadLedgerV1 reads schema-1 lines kept from the quick-sweep
+// baseline: the generic rule lifts their numeric fields, stage times and
+// latency distributions into Measures, the fixture self-gates with PASS,
+// and the metrics judged are the v1 gate's plus the recorded-but-unread
+// lower_computations / lower_cache_hits.
+func TestReadLedgerV1(t *testing.T) {
+	recs, err := ReadLedgerFile("testdata/ledger_v1.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 8 {
+		t.Fatalf("read %d records, want 8", len(recs))
+	}
+	e1 := recs[0]
+	if e1.Schema != 1 || e1.Experiment != "E1" || e1.Config["workers"] != "1" {
+		t.Fatalf("identity not read: %+v", e1)
+	}
+	if e1.Metrics["simsteps"] != 244 || e1.Metrics["lower_computations"] != 12 ||
+		e1.Metrics["stage_ms/measure"] != 827.955 || e1.Metrics["latency_p99"] != 32 {
+		t.Errorf("v1 metrics = %v", e1.Metrics)
+	}
+	for _, identity := range []string{"schema", "seed", "trial"} {
+		if _, ok := e1.Metrics[identity]; ok {
+			t.Errorf("identity field %q read as a metric", identity)
+		}
+	}
+	if h := e1.Hists["latency"]; h == nil || h.Count != 1152 {
+		t.Errorf("v1 latency histogram = %+v, want 1152 observations", h)
+	}
+
+	rep := Compare(recs, recs, Thresholds{})
+	if !rep.Pass() || len(rep.Groups) != 4 {
+		t.Fatalf("v1 fixture does not self-gate:\n%s", textOf(rep))
+	}
+	var judged []string
+	for _, m := range rep.Groups[0].Metrics { // E1
+		judged = append(judged, m.Metric+"/"+m.Class)
+	}
+	want := "executed/count latency_p50/count latency_p99/count lower_computations/count lower_ms/time " +
+		"objmoves/count simsteps/count stage_ms/done/time stage_ms/generate/time stage_ms/measure/time " +
+		"stage_ms/schedule/time stage_ms/verify/time total_ms/time"
+	if got := strings.Join(judged, " "); got != want {
+		t.Errorf("E1 judged metrics:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestMeasureDelta pins the snapshot-to-record rule: counters become
+// deltas, histograms HistDelta, gauges their later value, and metrics
+// that did not move are left out.
+func TestMeasureDelta(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("steps_total").Add(5)
+	r.Counter("idle_total").Add(2)
+	r.Gauge("peak").Max(7)
+	r.Gauge("still").Set(3)
+	r.Histogram("lat", nil).Observe(2)
+	prev := r.Snapshot()
+	r.Counter("steps_total").Add(4)
+	r.Gauge("peak").Max(9)
+	r.Gauge("still").Set(3)
+	r.Histogram("lat", nil).Observe(8)
+	r.Histogram("lat", nil).Observe(8)
+
+	m := MeasureDelta(prev, r.Snapshot())
+	if fmt.Sprint(m.Metrics) != "map[peak:9 steps_total:4]" {
+		t.Errorf("metrics = %v, want the counter delta and the moved gauge only", m.Metrics)
+	}
+	if h := m.Hists["lat"]; h == nil || h.Count != 2 || fmt.Sprint(h.Buckets) != "[{8 2}]" {
+		t.Errorf("histogram delta = %+v, want two observations in the 8 bucket", h)
+	}
+	if all := MeasureDelta(nil, r.Snapshot()); all.Metrics["steps_total"] != 9 || all.Metrics["idle_total"] != 2 {
+		t.Errorf("delta from nil = %v, want cumulative values", all.Metrics)
 	}
 }
 

@@ -83,14 +83,39 @@ go test -race ./internal/sim -run 'TestFaultMatrixSmoke' -count=1
 echo "== obs/v2 ledger + exposition guards =="
 # The Prometheus exposition must stay byte-deterministic (golden file),
 # registry updates must stay zero-alloc while a scrape is in flight, the
-# regression gate must flag a synthetic 2× slowdown and pass identical
-# ledgers (self-test at both the library and CLI layers), and nil
-# ledger/profiler hooks must keep the engine hot path allocation-free.
+# regression gate must flag a synthetic 2× slowdown and count drift in
+# either direction and pass identical ledgers (self-test at both the
+# library and CLI layers), judge counts but not times across
+# environments, read schema-1 ledgers, and pick up a new registry
+# counter with no schema edit; nil ledger/profiler hooks must keep the
+# engine hot path allocation-free.
 go test ./internal/obs -run 'TestPromGolden|TestPromDeterministic|TestPromParseable|TestRegistryUpdateZeroAllocDuringScrape' -count=1
-go test ./internal/obs -run 'TestCompareGateSelfTest|TestMergeHistDeterminism|TestLedgerRoundTrip|TestNilLedgerProfilerZeroAllocs' -count=1
+go test ./internal/obs -run 'TestCompareGateSelfTest|TestCompareAcrossEnvironments|TestMetricClassBySuffix|TestNewCounterReachesGate|TestMeasureDelta|TestReadLedgerV1|TestMergeHistDeterminism|TestLedgerRoundTrip|TestNilLedgerProfilerZeroAllocs' -count=1
 go test ./internal/engine -run 'TestLedgerHook|TestProfilerHook' -count=1
 go test ./cmd/dtmsched -run 'TestBenchGate|TestBenchRecordSmoke' -count=1
-go test ./cmd/dtmbench -run 'TestPublishPrefix' -count=1
+go test ./cmd/dtmbench -run 'TestPublishPrefix|TestLedgerRecordFromPipeline' -count=1
+# Cross-environment gate: quick-sweep ledgers recorded with 1 worker at
+# GOMAXPROCS=1 and 2 workers at GOMAXPROCS=2 must match in every
+# fingerprint group (workers is not a fingerprint input), judge their
+# counts (identical at every worker count) and pass, and report their
+# times as not comparable.
+gate_tmp=$(mktemp -d)
+go build -o "$gate_tmp/dtmbench" ./cmd/dtmbench
+GOMAXPROCS=1 "$gate_tmp/dtmbench" -quick -parallel 1 -ledger "$gate_tmp/w1.jsonl" >/dev/null
+GOMAXPROCS=2 "$gate_tmp/dtmbench" -quick -parallel 2 -ledger "$gate_tmp/w2.jsonl" >/dev/null
+groups=$(wc -l < "$gate_tmp/w1.jsonl")
+gate_out=$(go run ./cmd/dtmsched bench gate "$gate_tmp/w1.jsonl" "$gate_tmp/w2.jsonl") || {
+    echo "$gate_out" >&2
+    echo "gate: 1-worker vs 2-worker quick-sweep ledgers failed" >&2
+    exit 1
+}
+if ! grep -q "^PASS: $groups fingerprint groups" <<<"$gate_out" || grep -q 'only in' <<<"$gate_out" ||
+   ! grep -q 'time metrics not comparable, counts judged' <<<"$gate_out"; then
+    echo "$gate_out" >&2
+    echo "gate: want all $groups groups matched, counts judged, times not comparable" >&2
+    exit 1
+fi
+rm -rf "$gate_tmp"
 
 echo "== online loop guards =="
 # The online executor's steady-state tick must not allocate per step
