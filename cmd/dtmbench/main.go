@@ -143,6 +143,12 @@ func main() {
 		profDir   = flag.String("profile", "", "capture per-stage CPU profiles and stage-boundary heap snapshots into DIR (forces -parallel 1)")
 	)
 	flag.Parse()
+	if *trials < 1 {
+		// An experiment's cells would hold no instances, and its checks
+		// would pass over an all-zero table.
+		fmt.Fprintf(os.Stderr, "dtmbench: -trials must be at least 1 (got %d)\n", *trials)
+		os.Exit(2)
+	}
 
 	if *buildb != "" {
 		if err := runBuildBench(*buildb); err != nil {

@@ -1,7 +1,11 @@
 package main
 
 import (
+	"errors"
 	"expvar"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 
 	"dtmsched/internal/experiments"
@@ -61,5 +65,29 @@ func TestLedgerRecordFromPipeline(t *testing.T) {
 	}
 	if m := obs.MeasureDelta(cur, cur); len(m.Metrics) != 0 || len(m.Hists) != 0 {
 		t.Errorf("identical snapshots produced measures %+v, want none", m)
+	}
+}
+
+// TestTrialsBelowOneExitTwo runs main in a child process: a sweep with
+// no trials per cell must exit with status 2 and a message naming the
+// flag, not print an all-zero table under passing checks.
+func TestTrialsBelowOneExitTwo(t *testing.T) {
+	if args, ok := os.LookupEnv("DTMBENCH_TEST_MAIN_ARGS"); ok {
+		os.Args = append([]string{"dtmbench"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	for _, args := range []string{"-quick -only E1 -trials 0", "-quick -only E1 -trials -1"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestTrialsBelowOneExitTwo$")
+		cmd.Env = append(os.Environ(), "DTMBENCH_TEST_MAIN_ARGS="+args)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("dtmbench %s: %v, want exit status 2\n%s", args, err, out)
+			continue
+		}
+		if !strings.Contains(string(out), "-trials") || strings.Contains(string(out), "PASS") {
+			t.Errorf("dtmbench %s: output %q, want a -trials message and no table", args, out)
+		}
 	}
 }

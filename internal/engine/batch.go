@@ -32,9 +32,9 @@ type RetryPolicy struct {
 
 // Options configures RunBatch.
 type Options struct {
-	// Workers is the goroutine pool size (0 = GOMAXPROCS). Results are
-	// identical for every worker count: jobs own their randomness and
-	// results are returned in job order.
+	// Workers is the worker pool size, the calling goroutine included
+	// (0 = GOMAXPROCS). Results are identical for every worker count:
+	// jobs own their randomness and results are returned in job order.
 	Workers int
 	// Hook observes every job's stage completions. Called concurrently
 	// from the workers; must be goroutine-safe.
@@ -127,10 +127,11 @@ func (r JobResult) State() State {
 	}
 }
 
-// RunBatch fans jobs out over a bounded worker pool. It always returns one
-// JobResult per job, in job order, regardless of completion order. A
-// panicking job fails its own result, not the sweep. Cancelling the
-// context returns promptly: running jobs stop at their next stage
+// RunBatch fans jobs out over a bounded worker pool whose first worker is
+// the calling goroutine, so Workers: 1 starts no goroutine. It always
+// returns one JobResult per job, in job order, regardless of completion
+// order. A panicking job fails its own result, not the sweep. Cancelling
+// the context returns promptly: running jobs stop at their next stage
 // boundary, unstarted jobs are marked with the context error, and all
 // workers are joined before returning (no goroutine leaks — except
 // attempts abandoned by Options.Deadline, which exit at their next stage
@@ -153,32 +154,36 @@ func RunBatch(ctx context.Context, jobs []Job, opt Options) ([]JobResult, error)
 	}
 	results := make([]JobResult, len(jobs))
 	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= len(jobs) {
+				return
+			}
+			if err := ctx.Err(); err != nil {
+				results[i] = JobResult{Index: i, Name: jobs[i].Name, Err: err}
+				continue // drain remaining jobs as cancelled
+			}
+			job := jobs[i]
+			col := job.Collector
+			if col == nil {
+				col = opt.Collector
+			}
+			if job.LowerOracle == nil {
+				job.LowerOracle = oracle
+			}
+			results[i] = runJob(ctx, i, job, combineHooks(job.Hook, opt.Hook), col, opt)
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(jobs) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					results[i] = JobResult{Index: i, Name: jobs[i].Name, Err: err}
-					continue // drain remaining jobs as cancelled
-				}
-				job := jobs[i]
-				col := job.Collector
-				if col == nil {
-					col = opt.Collector
-				}
-				if job.LowerOracle == nil {
-					job.LowerOracle = oracle
-				}
-				results[i] = runJob(ctx, i, job, combineHooks(job.Hook, opt.Hook), col, opt)
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	return results, ctx.Err()
 }

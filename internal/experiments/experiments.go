@@ -13,6 +13,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"dtmsched/internal/core"
@@ -181,7 +182,18 @@ type Experiment struct {
 
 var registry []Experiment
 
-func register(e Experiment) { registry = append(registry, e) }
+// register adds e to the registry. Every registered Run refuses a
+// config with no trials per cell, whose tables would average over nothing.
+func register(e Experiment) {
+	run := e.Run
+	e.Run = func(cfg Config) (*Result, error) {
+		if cfg.Trials < 1 {
+			return nil, fmt.Errorf("experiments: %s needs Trials ≥ 1, got %d", e.ID, cfg.Trials)
+		}
+		return run(cfg)
+	}
+	registry = append(registry, e)
+}
 
 // All returns every registered experiment in ID order.
 func All() []Experiment {
@@ -289,10 +301,15 @@ func (s *sweep) endCell() {
 }
 
 // run executes every accumulated job and returns the cells grouped per
-// endCell call, in order. The first failing job aborts the sweep.
+// endCell call, in order. The first failing job aborts the sweep, and a
+// cell with no jobs (Trials < 1, say) fails it before anything runs: a
+// mean over no cells is 0, which every ratio check would pass.
 func (s *sweep) run() ([][]cell, error) {
 	if s.open > 0 {
 		s.endCell()
+	}
+	if i := slices.Index(s.sizes, 0); i >= 0 {
+		return nil, fmt.Errorf("experiments: sweep cell %d has no jobs (trials = %d)", i, s.cfg.Trials)
 	}
 	results, err := engine.RunBatch(s.cfg.context(), s.jobs, engine.Options{
 		Workers:      s.cfg.Workers,

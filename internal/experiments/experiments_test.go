@@ -69,3 +69,24 @@ func TestCheckf(t *testing.T) {
 		t.Fatalf("checkf = %+v", c)
 	}
 }
+
+// TestNoTrialsNoChecks: a sweep cell with no jobs fails the sweep before
+// anything runs, and no experiment runs at all without trials, so no
+// theorem check can pass over an empty cell.
+func TestNoTrialsNoChecks(t *testing.T) {
+	sw := newSweep(DefaultConfig())
+	sw.endCell()
+	if _, err := sw.run(); err == nil {
+		t.Error("a sweep with an empty cell ran")
+	}
+	cfg := DefaultConfig()
+	cfg.Quick = true
+	for _, trials := range []int{0, -1} {
+		cfg.Trials = trials
+		for _, e := range All() {
+			if res, err := e.Run(cfg); err == nil {
+				t.Errorf("%s with Trials = %d returned %d checks, want an error", e.ID, trials, len(res.Checks))
+			}
+		}
+	}
+}

@@ -91,7 +91,9 @@ func (c *Chain) Offset(in *tm.Instance, ids []tm.TxnID, local []int64, floor int
 }
 
 // Check validates schedule s of instance in against the chained state
-// and, when it is feasible, advances the state past it:
+// and, when it is feasible, advances the state past it and returns its
+// communication cost: the distance each object travels from its release
+// node through its users in execution order.
 //
 //   - every transaction has t(T_i) ≥ 1;
 //   - each node commits after its last commit in earlier schedules, and
@@ -102,35 +104,38 @@ func (c *Chain) Offset(in *tm.Instance, ids []tm.TxnID, local []int64, floor int
 //
 // The instance must share the chain's object space. On error the chain
 // state is unspecified; a failed sequence should not be checked further.
-func (c *Chain) Check(in *tm.Instance, s *Schedule) error {
+func (c *Chain) Check(in *tm.Instance, s *Schedule) (int64, error) {
 	if len(s.Times) != in.NumTxns() {
-		return fmt.Errorf("schedule: %d times for %d transactions", len(s.Times), in.NumTxns())
+		return 0, fmt.Errorf("schedule: %d times for %d transactions", len(s.Times), in.NumTxns())
 	}
 	if in.NumObjects != len(c.relT) {
-		return fmt.Errorf("schedule: instance has %d objects, chain tracks %d", in.NumObjects, len(c.relT))
+		return 0, fmt.Errorf("schedule: instance has %d objects, chain tracks %d", in.NumObjects, len(c.relT))
 	}
 	for i, t := range s.Times {
 		if t < 1 {
-			return fmt.Errorf("schedule: transaction %d has time %d < 1", i, t)
+			return 0, fmt.Errorf("schedule: transaction %d has time %d < 1", i, t)
 		}
 		if node := in.Txns[i].Node; t <= c.busy[node] {
-			return fmt.Errorf("schedule: node %d runs transaction %d at step %d, not after its commit at step %d",
+			return 0, fmt.Errorf("schedule: node %d runs transaction %d at step %d, not after its commit at step %d",
 				node, i, t, c.busy[node])
 		}
 	}
+	var cost int64
 	var users []tm.TxnID
 	for o := 0; o < in.NumObjects; o++ {
 		users = s.appendOrder(users[:0], in, tm.ObjectID(o))
 		for i, id := range users {
 			t, node := s.Times[id], in.Txns[id].Node
 			if i > 0 && t == s.Times[users[i-1]] {
-				return fmt.Errorf("schedule: object %d used by transactions %d and %d both at step %d",
+				return 0, fmt.Errorf("schedule: object %d used by transactions %d and %d both at step %d",
 					o, users[i-1], id, t)
 			}
-			if need := c.relT[o] + c.metric.Dist(c.relN[o], node); t < need {
-				return fmt.Errorf("schedule: object %d released at step %d on node %d cannot reach transaction %d (node %d) by step %d",
+			d := c.metric.Dist(c.relN[o], node)
+			if t < c.relT[o]+d {
+				return 0, fmt.Errorf("schedule: object %d released at step %d on node %d cannot reach transaction %d (node %d) by step %d",
 					o, c.relT[o], c.relN[o], id, node, t)
 			}
+			cost += d
 			c.relT[o], c.relN[o] = t, node
 		}
 	}
@@ -139,11 +144,11 @@ func (c *Chain) Check(in *tm.Instance, s *Schedule) error {
 	for i, t := range s.Times {
 		node := in.Txns[i].Node
 		if t == c.busy[node] {
-			return fmt.Errorf("schedule: node %d hosts two transactions at step %d", node, t)
+			return 0, fmt.Errorf("schedule: node %d hosts two transactions at step %d", node, t)
 		}
 		if t > c.busy[node] {
 			c.busy[node] = t
 		}
 	}
-	return nil
+	return cost, nil
 }

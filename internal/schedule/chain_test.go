@@ -1,11 +1,13 @@
 package schedule_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"dtmsched/internal/graph"
 	"dtmsched/internal/schedule"
+	"dtmsched/internal/sim"
 	"dtmsched/internal/tm"
 	"dtmsched/internal/topology"
 	"dtmsched/internal/windows"
@@ -26,7 +28,7 @@ func sequenceOn(t *testing.T, count int, seed int64) *windows.Sequence {
 func replay(seq *windows.Sequence, res *windows.Result) error {
 	c := schedule.NewChain(seq.Metric, seq.G.NumNodes(), seq.Home)
 	for wi, in := range seq.Windows {
-		if err := c.Check(in, res.PerWindow[wi]); err != nil {
+		if _, err := c.Check(in, res.PerWindow[wi]); err != nil {
 			return err
 		}
 	}
@@ -85,7 +87,7 @@ func TestChainRejectsSharedObjectTie(t *testing.T) {
 	}
 	in := tm.NewInstance(g, metric, 1, txns, []graph.NodeID{g.Nodes()[0]})
 	c := schedule.NewChain(metric, g.NumNodes(), in.Home)
-	err := c.Check(in, &schedule.Schedule{Times: []int64{2, 2}})
+	_, err := c.Check(in, &schedule.Schedule{Times: []int64{2, 2}})
 	if err == nil || !strings.Contains(err.Error(), "both at step") {
 		t.Fatalf("tie on shared object not rejected: %v", err)
 	}
@@ -98,10 +100,10 @@ func TestChainRejectsNodeTie(t *testing.T) {
 	g.AddUnitEdge(0, 1)
 	txns := []tm.Txn{{Node: 1, Objects: []tm.ObjectID{0}}, {Node: 1, Objects: []tm.ObjectID{1}}}
 	in := tm.NewInstance(g, nil, 2, txns, []graph.NodeID{1, 1})
-	if err := schedule.NewChain(g, 2, in.Home).Check(in, &schedule.Schedule{Times: []int64{3, 2}}); err != nil {
+	if _, err := schedule.NewChain(g, 2, in.Home).Check(in, &schedule.Schedule{Times: []int64{3, 2}}); err != nil {
 		t.Fatalf("distinct steps on one node rejected: %v", err)
 	}
-	err := schedule.NewChain(g, 2, in.Home).Check(in, &schedule.Schedule{Times: []int64{2, 2}})
+	_, err := schedule.NewChain(g, 2, in.Home).Check(in, &schedule.Schedule{Times: []int64{2, 2}})
 	if err == nil || !strings.Contains(err.Error(), "two transactions") {
 		t.Fatalf("two transactions on one node at one step not rejected: %v", err)
 	}
@@ -116,14 +118,52 @@ func TestChainMismatchedShapes(t *testing.T) {
 	n := seq.G.NumNodes()
 	// Wrong object-space width.
 	c := schedule.NewChain(seq.Metric, n, seq.Home[:len(seq.Home)-1])
-	if err := c.Check(seq.Windows[0], res.PerWindow[0]); err == nil {
+	if _, err := c.Check(seq.Windows[0], res.PerWindow[0]); err == nil {
 		t.Fatal("object-count mismatch accepted")
 	}
 	// Wrong transaction count.
 	c = schedule.NewChain(seq.Metric, n, seq.Home)
 	short := res.PerWindow[0].Clone()
 	short.Times = short.Times[:len(short.Times)-1]
-	if err := c.Check(seq.Windows[0], short); err == nil {
+	if _, err := c.Check(seq.Windows[0], short); err == nil {
 		t.Fatal("times-length mismatch accepted")
+	}
+}
+
+// TestChainCheckCostMatchesCommCostAndSim: on random instances across
+// the line, clique, grid and cluster families, the cost Check returns on
+// a fresh chain equals the route-based Schedule.CommCost and the
+// simulator's measured CommCost.
+func TestChainCheckCostMatchesCommCostAndSim(t *testing.T) {
+	topos := []topology.Topology{
+		topology.NewLine(12), topology.NewClique(10), topology.NewGrid(4, 5), topology.NewCluster(3, 4, 5),
+	}
+	for _, topo := range topos {
+		g, metric := topo.Graph(), graph.FuncMetric(topo.Dist)
+		for seed := int64(0); seed < 25; seed++ {
+			name := fmt.Sprintf("%s/seed=%d", topo.Kind(), seed)
+			r := xrand.New(seed)
+			w := 2 + r.Intn(10)
+			in := tm.UniformK(w, 1+r.Intn(min(w, 4))).Generate(r, g, metric, g.Nodes(), tm.PlaceAtRandomUser)
+			// A feasible schedule in a random placement order, so objects
+			// take varied routes.
+			place := schedule.NewChain(metric, g.NumNodes(), in.Home)
+			s := schedule.New(in.NumTxns())
+			for _, i := range r.Perm(in.NumTxns()) {
+				s.Times[i] = place.Earliest(&in.Txns[i], 1+r.Int63n(4))
+				place.Commit(&in.Txns[i], s.Times[i])
+			}
+			cost, err := schedule.NewChain(metric, g.NumNodes(), in.Home).Check(in, s)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			simRes, err := sim.Run(in, s, sim.Options{})
+			if err != nil {
+				t.Fatalf("%s: simulator: %v", name, err)
+			}
+			if ref := s.CommCost(in); cost != ref || cost != simRes.CommCost {
+				t.Fatalf("%s: Check cost %d, CommCost %d, simulated %d", name, cost, ref, simRes.CommCost)
+			}
+		}
 	}
 }

@@ -77,7 +77,10 @@ func (s *Schedule) Route(in *tm.Instance, o tm.ObjectID) []graph.NodeID {
 }
 
 // CommCost returns the total communication cost: the summed shortest-path
-// distance traversed by all objects along their routes.
+// distance traversed by all objects along their routes. Chain.Check
+// returns the same figure from its feasibility walk; CommCost is the
+// route-based reference that tests compare both it and the simulator's
+// measured cost against.
 func (s *Schedule) CommCost(in *tm.Instance) int64 {
 	var total int64
 	for o := 0; o < in.NumObjects; o++ {
@@ -93,7 +96,8 @@ func (s *Schedule) CommCost(in *tm.Instance) int64 {
 // Chain that starts at the instance's homes. It returns nil for feasible
 // schedules and a descriptive error otherwise.
 func (s *Schedule) Validate(in *tm.Instance) error {
-	return NewChain(in.Metric, in.G.NumNodes(), in.Home).Check(in, s)
+	_, err := NewChain(in.Metric, in.G.NumNodes(), in.Home).Check(in, s)
+	return err
 }
 
 // Shift adds delta to every execution time; useful when composing phase

@@ -232,9 +232,9 @@ func TestChainSplitMatchesValidateProperty(t *testing.T) {
 		}
 		cut := r.Int63n(s.Makespan() + 2)
 		c := NewChain(in.Metric, in.G.NumNodes(), in.Home)
-		split := c.Check(windowOf(in, s, func(t int64) bool { return t <= cut }))
+		_, split := c.Check(windowOf(in, s, func(t int64) bool { return t <= cut }))
 		if split == nil {
-			split = c.Check(windowOf(in, s, func(t int64) bool { return t > cut }))
+			_, split = c.Check(windowOf(in, s, func(t int64) bool { return t > cut }))
 		}
 		whole := s.Validate(in)
 		if whole == nil {
@@ -302,7 +302,7 @@ func TestChainPlacementPassesCheckProperty(t *testing.T) {
 			if m := s.Makespan(); m > clock {
 				clock = m
 			}
-			if err := checker.Check(in, s); err != nil {
+			if _, err := checker.Check(in, s); err != nil {
 				t.Logf("seed %d window %d: %v", seed, wi, err)
 				return false
 			}

@@ -1,6 +1,10 @@
 package stream
 
-import "fmt"
+import (
+	"fmt"
+
+	"dtmsched/internal/engine"
+)
 
 // ConfigError is a typed Config validation failure: the offending field
 // and why it was rejected. Serve returns one before touching any serving
@@ -77,6 +81,9 @@ func (cfg *Config) Validate() error {
 	}
 	if cfg.Policy != Block && cfg.Policy != Reject {
 		return &ConfigError{"Policy", fmt.Sprintf("unknown policy %d", int(cfg.Policy))}
+	}
+	if cfg.Verify < engine.VerifyFull || cfg.Verify > engine.VerifyOff {
+		return &ConfigError{"Verify", fmt.Sprintf("unknown verify mode %d", int(cfg.Verify))}
 	}
 	if cfg.Deadline < 0 {
 		return &ConfigError{"Deadline", fmt.Sprintf("negative deadline %s", cfg.Deadline)}

@@ -3,20 +3,20 @@ package stream
 import (
 	"cmp"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/fnv"
-	"slices"
 	"sync"
 	"time"
 
-	"dtmsched/internal/depgraph"
 	"dtmsched/internal/engine"
 	"dtmsched/internal/faults"
 	"dtmsched/internal/graph"
-	"dtmsched/internal/lower"
 	"dtmsched/internal/obs"
 	"dtmsched/internal/schedule"
 	"dtmsched/internal/tm"
+	"dtmsched/internal/windows"
 )
 
 // Config describes one streaming service run.
@@ -38,9 +38,11 @@ type Config struct {
 	QueueCap int
 	// Policy selects the backpressure behavior when the queue is full.
 	Policy Policy
-	// Verify is the per-window engine verification policy (zero value =
-	// VerifyFull, the engine's default; serving at rate usually wants
-	// VerifyFast).
+	// Verify selects the per-window verification. Every window passes
+	// one Definition-1 check on the serving loop's cross-window chain
+	// whatever the mode; VerifyFull (the zero value) adds a simulator
+	// replay of the window in the engine, while VerifyFast and VerifyOff
+	// both rely on the loop's check alone.
 	Verify engine.VerifyMode
 	// Retry and Deadline are the engine's per-window execution policies.
 	Retry    engine.RetryPolicy
@@ -149,13 +151,12 @@ type Result struct {
 
 // windowJob is one cut window handed to the executor: the shadow
 // instance (homes frozen at the objects' release positions), the
-// absolute-time schedule, the member items, and the cut interval the
-// health layer judges fault inflation against.
+// absolute-time schedule, and the cut interval the health layer judges
+// fault inflation against.
 type windowJob struct {
 	index      int
 	in         *tm.Instance
 	sched      *schedule.Schedule
-	size       int
 	cutClock   int64
 	plannedEnd int64
 }
@@ -176,11 +177,69 @@ type qitem struct {
 	retryAt  int64 // earliest cut step this item is eligible again
 }
 
-// Serve drains the configured stream: admit → cut → schedule → execute
+// Digest tags for the fault-path records. Normal records are (seq ≥ 0,
+// step ≥ 1) pairs, so a negative first word is unambiguous; none of these
+// are written on a zero-fault run.
+const (
+	digestRequeue int64 = -1
+	digestShed    int64 = -2
+	digestBreaker int64 = -3
+)
+
+// server is one Serve run: the configuration with its defaults filled
+// in, the serving loop's state, and the executor the loop hands windows
+// to. The loop goroutine owns every field except execErr and committed,
+// which only the executor writes and the loop reads after it exits.
+type server struct {
+	ctx context.Context
+	cfg Config
+
+	// faultsOn turns on the health layer and the breaker. Off, there are
+	// no requeue checks, no breaker and no extra digest records, so the
+	// zero-fault run stays byte-identical to the historical path.
+	faultsOn bool
+
+	res    *Result
+	digest hash.Hash64
+
+	// Chained scheduling state: object release steps/nodes and per-node
+	// last-commit steps span the whole stream, exactly as windows.Run
+	// chains homes across a finite sequence. chain places every window;
+	// checker re-derives the same state from the finished schedules
+	// alone. The mutable conflict index holds only the window being
+	// placed and keeps its member-list capacity across windows.
+	chain, checker *schedule.Chain
+	index          *tm.ConflictIndex
+
+	// Admission and cutting.
+	queue      []qitem
+	pending    *Item
+	pendingHit bool // pending already counted as blocked
+	srcDone    bool
+	lastArrive int64
+	clock      int64
+	totalResp  float64
+
+	// Circuit breaker: a rolling window of per-window inflation ratios
+	// fed only from the deterministic outcome drain.
+	breakerOpen bool
+	inflHist    []float64
+	sumInfl     float64
+	reported    int
+
+	// Executor.
+	jobs      chan windowJob
+	outcomes  chan windowOutcome // nil without faults
+	execWG    sync.WaitGroup
+	execErr   error
+	committed int64
+}
+
+// Serve drains the configured stream: admit → cut → place → execute
 // until the source is exhausted and every window has run. It returns the
 // deterministic run summary, or the first error (invalid configuration,
-// an infeasible window caught by the cross-checker, or a window whose
-// engine execution failed after retries).
+// an infeasible window caught by the cross-window check, or a window
+// whose engine execution failed after retries).
 func Serve(ctx context.Context, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -188,532 +247,444 @@ func Serve(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	metric := cfg.Metric
-	if metric == nil {
-		metric = cfg.G
-	}
-	n := cfg.G.NumNodes()
-	maxWindow := cfg.MaxWindow
-	if maxWindow <= 0 {
-		maxWindow = n
-	}
-	queueCap := cfg.QueueCap
-	if queueCap <= 0 {
-		queueCap = 2 * maxWindow
-	}
-	depth := cfg.PipelineDepth
-	if depth <= 0 {
-		depth = 1
-	}
-	col := cfg.Collector
-
-	// Fault-tolerant serving state. Everything in this block is inert
-	// when the injector is nil or empty: no requeue checks, no breaker,
-	// no extra digest records — the zero-fault run stays byte-identical
-	// to the historical path.
-	faultsOn := cfg.Faults != nil && !cfg.Faults.Empty()
-	maxRequeue := cfg.MaxRequeue
-	if maxRequeue <= 0 {
-		maxRequeue = 3
-	}
-	backoffBase := cfg.RequeueBackoff
-	if backoffBase <= 0 {
-		backoffBase = 4
-	}
-	trip := cfg.InflationTrip
-	if trip <= 0 {
-		trip = 1.5
-	}
-	reset := cfg.InflationReset
-	if reset <= 0 {
-		reset = 1 + (trip-1)/2
-	}
-	breakerWin := cfg.BreakerWindow
-	if breakerWin <= 0 {
-		breakerWin = 4
-	}
-	drainOnCancel := cfg.OnCancel == CancelDrain
-
-	// Executor: windows run through the engine (with the batch layer's
-	// retry/deadline policies) while the serving loop cuts the next one.
-	// The loop owns all scheduling state, so executor interleaving never
-	// touches determinism: under faults the executor reports each
-	// window's outcome on a FIFO channel the loop drains at fixed
-	// deterministic points (before cutting window w it has consumed the
-	// outcomes of windows ≤ w − PipelineDepth).
-	execCtx := ctx
-	if drainOnCancel {
-		execCtx = context.WithoutCancel(ctx)
-	}
-	jobs := make(chan windowJob, depth)
-	var resCh chan windowOutcome
-	if faultsOn {
-		resCh = make(chan windowOutcome, depth+2)
-	}
-	var (
-		execWG    sync.WaitGroup
-		execErr   error
-		committed int64
-	)
-	oracle := lower.NewOracle(lower.Options{})
-	execWG.Add(1)
-	go func() {
-		defer execWG.Done()
-		if resCh != nil {
-			defer close(resCh)
-		}
-		for wj := range jobs {
-			if execErr != nil {
-				if resCh != nil {
-					resCh <- windowOutcome{index: wj.index, inflation: 1}
-				}
-				continue // drain remaining windows after a failure
-			}
-			job := engine.Job{
-				Name:           fmt.Sprintf("stream/w%d", wj.index),
-				Instance:       wj.in,
-				Schedule:       wj.sched,
-				Algorithm:      "stream/window",
-				Verify:         cfg.Verify,
-				SkipLowerBound: true,
-			}
-			if faultsOn {
-				job.Faults = cfg.Faults
-			}
-			results, err := engine.RunBatch(execCtx, []engine.Job{job}, engine.Options{
-				Workers:     1,
-				Hook:        cfg.Hook,
-				Collector:   col,
-				Deadline:    cfg.Deadline,
-				Retry:       cfg.Retry,
-				LowerOracle: oracle,
-			})
-			if err == nil {
-				for _, r := range results {
-					if r.Err != nil {
-						err = r.Err
-						break
-					}
-				}
-			}
-			if err != nil {
-				execErr = fmt.Errorf("stream: window %d execution failed: %w", wj.index, err)
-				if resCh != nil {
-					resCh <- windowOutcome{index: wj.index, inflation: 1}
-				}
-				continue
-			}
-			committed += int64(wj.size)
-			col.StreamCommit(wj.size)
-			if resCh != nil {
-				oc := windowOutcome{index: wj.index, inflation: 1}
-				if fr := results[0].Report.Fault; fr != nil && wj.plannedEnd > wj.cutClock {
-					oc.inflation = float64(fr.Makespan-wj.cutClock) / float64(wj.plannedEnd-wj.cutClock)
-					if oc.inflation < 1 {
-						oc.inflation = 1
-					}
-					oc.degraded = fr.Makespan > wj.plannedEnd
-				}
-				resCh <- oc
-			}
-		}
-	}()
-
-	res := &Result{}
-	digest := fnv.New64a()
-	hash64 := func(vs ...int64) {
-		var buf [8]byte
-		for _, v := range vs {
-			u := uint64(v)
-			for i := range buf {
-				buf[i] = byte(u >> (8 * i))
-			}
-			digest.Write(buf[:])
-		}
-	}
-	fail := func(err error) (*Result, error) {
-		close(jobs)
-		execWG.Wait()
+	s := newServer(ctx, cfg)
+	s.start()
+	err := s.loop()
+	close(s.jobs)
+	s.execWG.Wait()
+	if err != nil {
 		return nil, err
 	}
+	return s.finish()
+}
 
-	// Digest tags for the fault-path records. Normal records are
-	// (seq ≥ 0, step ≥ 1) pairs, so a negative first word is
-	// unambiguous; none of these are written on a zero-fault run.
-	const (
-		digestRequeue int64 = -1
-		digestShed    int64 = -2
-		digestBreaker int64 = -3
-	)
-
-	// Circuit-breaker state: a rolling window of per-window inflation
-	// ratios fed exclusively from the deterministic outcome drain.
-	var (
-		breakerOpen bool
-		inflHist    []float64
-		sumInfl     float64
-		outcomes    int
-		reported    int
-	)
-	handleOutcome := func(oc windowOutcome) {
-		reported++
-		outcomes++
-		sumInfl += oc.inflation
-		if oc.degraded {
-			res.DegradedWindows++
-		}
-		col.StreamFaultWindow(oc.inflation, oc.degraded)
-		inflHist = append(inflHist, oc.inflation)
-		if len(inflHist) > breakerWin {
-			inflHist = inflHist[1:]
-		}
-		var mean float64
-		for _, v := range inflHist {
-			mean += v
-		}
-		mean /= float64(len(inflHist))
-		switch {
-		case !breakerOpen && mean >= trip:
-			breakerOpen = true
-			res.BreakerTrips++
-			col.StreamBreaker(true)
-			hash64(digestBreaker, int64(oc.index), 1)
-		case breakerOpen && mean <= reset:
-			breakerOpen = false
-			res.BreakerRecoveries++
-			col.StreamBreaker(false)
-			hash64(digestBreaker, int64(oc.index), 0)
-		}
+// newServer fills in cfg's defaults (Validate has ruled out negative
+// values, so zero is the only value left to replace) and sets up the
+// loop's state.
+func newServer(ctx context.Context, cfg Config) *server {
+	if cfg.Metric == nil {
+		cfg.Metric = cfg.G
 	}
-
-	// Chained scheduling state: object release steps/nodes and per-node
-	// last-commit steps span the whole stream, exactly as windows.Run
-	// chains homes across a finite sequence. The mutable conflict index
-	// is registered/deregistered per window so dependency graphs reuse
-	// its member-list capacity; the checker chain independently
-	// re-verifies every cut window's feasibility.
-	chain := schedule.NewChain(metric, n, cfg.Home)
-	checker := schedule.NewChain(metric, n, cfg.Home)
-	index := tm.NewConflictIndex(cfg.NumObjects)
-
-	var (
-		queue      []qitem
-		pending    *Item
-		pendingHit bool // pending already counted as blocked
-		srcDone    bool
-		lastArrive int64 = -1
-		clock      int64
-		totalResp  float64
-	)
-
-	// admit pulls arrivals with Arrive ≤ upTo into the bounded queue in
-	// arrival order, applying the backpressure policy when full. A
-	// tripped breaker forces Reject whatever the configured policy.
-	admit := func(upTo int64) error {
-		var admitted, rejected, blocked int64
-		policy := cfg.Policy
-		if breakerOpen {
-			policy = Reject
-		}
-		for {
-			if pending == nil {
-				if srcDone {
-					break
-				}
-				it, ok := cfg.Source.Next()
-				if !ok {
-					srcDone = true
-					break
-				}
-				if it.Arrive < lastArrive {
-					return fmt.Errorf("stream: source emitted arrival %d after %d (must be non-decreasing)", it.Arrive, lastArrive)
-				}
-				if it.Node < 0 || int(it.Node) >= n {
-					return fmt.Errorf("stream: transaction %d at node %d outside [0,%d)", it.Seq, it.Node, n)
-				}
-				if len(it.Objects) == 0 {
-					return fmt.Errorf("stream: transaction %d requests no objects", it.Seq)
-				}
-				for _, o := range it.Objects {
-					if o < 0 || int(o) >= cfg.NumObjects {
-						return fmt.Errorf("stream: transaction %d requests object %d outside [0,%d)", it.Seq, o, cfg.NumObjects)
-					}
-				}
-				lastArrive = it.Arrive
-				pending = &it
-				pendingHit = false
-			}
-			if pending.Arrive > upTo {
-				break
-			}
-			if len(queue) >= queueCap {
-				if policy == Reject {
-					rejected++
-					pending = nil
-					continue
-				}
-				// Block: the arrival waits at the source; count the
-				// stall once and stop pulling until space frees up.
-				if !pendingHit {
-					blocked++
-					pendingHit = true
-				}
-				break
-			}
-			queue = append(queue, qitem{it: *pending})
-			admitted++
-			pending = nil
-			if len(queue) > res.QueuePeak {
-				res.QueuePeak = len(queue)
-			}
-		}
-		res.Admitted += admitted
-		res.Rejected += rejected
-		res.Blocked += blocked
-		col.StreamAdmit(admitted, rejected, blocked, len(queue))
-		return nil
+	cfg.MaxWindow = cmp.Or(cfg.MaxWindow, cfg.G.NumNodes())
+	cfg.QueueCap = cmp.Or(cfg.QueueCap, 2*cfg.MaxWindow)
+	cfg.PipelineDepth = cmp.Or(cfg.PipelineDepth, 1)
+	cfg.MaxRequeue = cmp.Or(cfg.MaxRequeue, 3)
+	cfg.RequeueBackoff = cmp.Or(cfg.RequeueBackoff, 4)
+	cfg.InflationTrip = cmp.Or(cfg.InflationTrip, 1.5)
+	cfg.InflationReset = cmp.Or(cfg.InflationReset, 1+(cfg.InflationTrip-1)/2)
+	cfg.BreakerWindow = cmp.Or(cfg.BreakerWindow, 4)
+	// The loop's checker chain is each window's one Definition-1 check,
+	// and a stronger one than Validate on the shadow instance, which
+	// starts every object at step 0 and every node idle; in the engine,
+	// windows only add VerifyFull's simulator replay.
+	if cfg.Verify != engine.VerifyFull {
+		cfg.Verify = engine.VerifyOff
 	}
+	s := &server{
+		ctx:        ctx,
+		cfg:        cfg,
+		faultsOn:   cfg.Faults != nil && !cfg.Faults.Empty(),
+		res:        &Result{},
+		digest:     fnv.New64a(),
+		chain:      schedule.NewChain(cfg.Metric, cfg.G.NumNodes(), cfg.Home),
+		checker:    schedule.NewChain(cfg.Metric, cfg.G.NumNodes(), cfg.Home),
+		index:      tm.NewConflictIndex(cfg.NumObjects),
+		lastArrive: -1,
+		jobs:       make(chan windowJob, cfg.PipelineDepth),
+	}
+	if s.faultsOn {
+		// Room past the PipelineDepth outcomes the loop may leave
+		// unconsumed, so the executor never blocks on a send while the
+		// loop waits to submit a window or for the executor to exit.
+		s.outcomes = make(chan windowOutcome, cfg.PipelineDepth+2)
+	}
+	return s
+}
 
+// loop is the serving loop: it owns all scheduling state, so executor
+// interleaving never touches determinism.
+func (s *server) loop() error {
 	for {
-		if err := ctx.Err(); err != nil {
-			if !drainOnCancel {
-				return fail(err)
+		if err := s.ctx.Err(); err != nil {
+			if s.cfg.OnCancel != CancelDrain {
+				return err
 			}
 			// Graceful shutdown: abandon the source (the un-admitted
 			// pending arrival with it) and flush everything already
 			// admitted through the normal cut/execute path.
-			if !res.Cancelled {
-				res.Cancelled = true
-				srcDone = true
-				pending = nil
-			}
+			s.res.Cancelled, s.srcDone, s.pending = true, true, nil
 		}
 		// Deterministic breaker feedback: before cutting window w, the
 		// outcomes of windows ≤ w − PipelineDepth have been consumed, so
 		// the breaker state feeding this iteration's admission and cut
 		// depends only on the seed and configuration, never on executor
 		// timing.
-		if faultsOn {
-			for need := res.Windows - depth + 1; reported < need; {
-				handleOutcome(<-resCh)
+		if s.faultsOn {
+			for need := s.res.Windows - s.cfg.PipelineDepth + 1; s.reported < need; {
+				s.handleOutcome(<-s.outcomes)
 			}
 		}
-		if err := admit(clock); err != nil {
-			return fail(err)
+		if err := s.admit(s.clock); err != nil {
+			return err
 		}
-		if len(queue) == 0 {
-			if srcDone && pending == nil {
-				break
+		if len(s.queue) == 0 {
+			if s.srcDone && s.pending == nil {
+				return nil
 			}
 			// Idle: jump the clock to the next arrival. pending is
 			// non-nil here (a blocked arrival cannot coexist with an
 			// empty queue since queueCap ≥ 1).
-			clock = pending.Arrive
-			if err := admit(clock); err != nil {
-				return fail(err)
+			s.clock = s.pending.Arrive
+			if err := s.admit(s.clock); err != nil {
+				return err
 			}
 		}
+		cut := s.cut()
+		if len(cut) == 0 {
+			s.skip()
+			continue
+		}
+		wj, err := s.place(cut)
+		if err != nil {
+			return err
+		}
+		if err := s.submit(wj); err != nil {
+			return err
+		}
+	}
+}
 
-		// Cut: first-come-first-served from the queue front, skipping
-		// transactions whose node is already in the window (the batch
-		// model admits one transaction per node per window); skipped
-		// items keep their queue order for the next cut. Under faults
-		// the health layer runs first: items homed on a node that is
-		// down at the cut step are requeued with exponential backoff in
-		// window-time (or until the node's known restart), and items
-		// that exhausted their requeue budget are shed.
-		cut := make([]Item, 0, maxWindow)
-		inWindow := make(map[graph.NodeID]bool, maxWindow)
-		rest := queue[:0]
-		var requeuedNow, shedNow int64
-		for _, q := range queue {
-			if faultsOn {
-				if q.retryAt > clock {
-					rest = append(rest, q)
-					continue
-				}
-				if restart, down := cfg.Faults.NodeDownUntil(q.it.Node, clock+1); down {
-					q.attempts++
-					if q.attempts > maxRequeue {
-						shedNow++
-						res.Shed++
-						hash64(digestShed, int64(q.it.Seq), clock)
-						continue
-					}
-					shift := q.attempts - 1
-					if shift > 20 {
-						shift = 20
-					}
-					q.retryAt = clock + backoffBase<<shift
-					if restart != faults.Forever && restart > q.retryAt {
-						q.retryAt = restart
-					}
-					requeuedNow++
-					res.Requeued++
-					hash64(digestRequeue, int64(q.it.Seq), q.retryAt)
-					rest = append(rest, q)
-					continue
+// admit pulls arrivals with Arrive ≤ upTo into the bounded queue in
+// arrival order, applying the backpressure policy when full. A tripped
+// breaker forces Reject whatever the configured policy.
+func (s *server) admit(upTo int64) error {
+	var admitted, rejected, blocked int64
+	policy := s.cfg.Policy
+	if s.breakerOpen {
+		policy = Reject
+	}
+	for {
+		if s.pending == nil {
+			if s.srcDone {
+				break
+			}
+			it, ok := s.cfg.Source.Next()
+			if !ok {
+				s.srcDone = true
+				break
+			}
+			if it.Arrive < s.lastArrive {
+				return fmt.Errorf("stream: source emitted arrival %d after %d (must be non-decreasing)", it.Arrive, s.lastArrive)
+			}
+			if it.Node < 0 || int(it.Node) >= s.cfg.G.NumNodes() {
+				return fmt.Errorf("stream: transaction %d at node %d outside [0,%d)", it.Seq, it.Node, s.cfg.G.NumNodes())
+			}
+			if len(it.Objects) == 0 {
+				return fmt.Errorf("stream: transaction %d requests no objects", it.Seq)
+			}
+			for _, o := range it.Objects {
+				if o < 0 || int(o) >= s.cfg.NumObjects {
+					return fmt.Errorf("stream: transaction %d requests object %d outside [0,%d)", it.Seq, o, s.cfg.NumObjects)
 				}
 			}
-			if len(cut) < maxWindow && !inWindow[q.it.Node] {
-				inWindow[q.it.Node] = true
-				cut = append(cut, q.it)
-			} else {
-				rest = append(rest, q)
-			}
+			s.lastArrive = it.Arrive
+			s.pending = &it
+			s.pendingHit = false
 		}
-		queue = rest
-		if faultsOn {
-			backlog := 0
-			for _, q := range queue {
-				if q.attempts > 0 {
-					backlog++
-				}
+		if s.pending.Arrive > upTo {
+			break
+		}
+		if len(s.queue) >= s.cfg.QueueCap {
+			if policy == Reject {
+				rejected++
+				s.pending = nil
+				continue
 			}
-			if backlog > res.RequeuePeak {
-				res.RequeuePeak = backlog
+			// Block: the arrival waits at the source; count the stall
+			// once and stop pulling until space frees up.
+			if !s.pendingHit {
+				blocked++
+				s.pendingHit = true
 			}
-			if requeuedNow > 0 || shedNow > 0 {
-				col.StreamRequeue(requeuedNow, backlog)
-				col.StreamShed(shedNow)
+			break
+		}
+		s.queue = append(s.queue, qitem{it: *s.pending})
+		admitted++
+		s.pending = nil
+		s.res.QueuePeak = max(s.res.QueuePeak, len(s.queue))
+	}
+	s.res.Admitted += admitted
+	s.res.Rejected += rejected
+	s.res.Blocked += blocked
+	s.cfg.Collector.StreamAdmit(admitted, rejected, blocked, len(s.queue))
+	return nil
+}
+
+// cut takes the next window first-come-first-served from the queue
+// front, skipping transactions whose node is already in the window (the
+// batch model admits one transaction per node per window); skipped items
+// keep their queue order for the next cut. Under faults the health layer
+// runs first: items homed on a node that is down at the cut step are
+// requeued with exponential backoff in window-time (or until the node's
+// known restart), and items that exhausted their requeue budget are shed.
+func (s *server) cut() []Item {
+	cut := make([]Item, 0, s.cfg.MaxWindow)
+	inWindow := make(map[graph.NodeID]bool, s.cfg.MaxWindow)
+	rest := s.queue[:0]
+	var requeuedNow, shedNow int64
+	for _, q := range s.queue {
+		if s.faultsOn {
+			if q.retryAt > s.clock {
+				rest = append(rest, q)
+				continue
 			}
-			if len(cut) == 0 {
-				// Everything eligible was requeued or shed: advance the
-				// clock to the next event (earliest retry, or the next
-				// arrival if the queue has room for it) instead of
-				// cutting an empty window. Bounded retries guarantee
-				// progress even against a permanently down node.
-				if len(queue) == 0 {
-					continue // loop top handles drain/idle-jump
+			if restart, down := s.cfg.Faults.NodeDownUntil(q.it.Node, s.clock+1); down {
+				q.attempts++
+				if q.attempts > s.cfg.MaxRequeue {
+					shedNow++
+					s.res.Shed++
+					s.hash64(digestShed, int64(q.it.Seq), s.clock)
+					continue
 				}
-				next := int64(-1)
-				for _, q := range queue {
-					if next < 0 || q.retryAt < next {
-						next = q.retryAt
-					}
+				q.retryAt = s.clock + s.cfg.RequeueBackoff<<min(q.attempts-1, 20)
+				if restart != faults.Forever && restart > q.retryAt {
+					q.retryAt = restart
 				}
-				if len(queue) < queueCap && pending != nil && pending.Arrive < next {
-					next = pending.Arrive
-				}
-				if next <= clock {
-					next = clock + 1
-				}
-				clock = next
+				requeuedNow++
+				s.res.Requeued++
+				s.hash64(digestRequeue, int64(q.it.Seq), q.retryAt)
+				rest = append(rest, q)
 				continue
 			}
 		}
-
-		// Shadow instance: this window's transactions with object homes
-		// frozen at the current release positions, so the engine's
-		// algebraic validation and simulator replay see exactly the
-		// handoff state the cutter scheduled against. The homes are a
-		// copy because the loop keeps advancing the chain while the
-		// executor runs.
-		txns := make([]tm.Txn, len(cut))
-		for i, it := range cut {
-			txns[i] = tm.Txn{Node: it.Node, Objects: it.Objects}
-		}
-		in := tm.NewInstance(cfg.G, metric, cfg.NumObjects, txns, chain.Holders())
-
-		// Dependency graph over the mutable index: register this
-		// window's members, build, deregister. Cross-window constraints
-		// ride on the chain, not on index edges, so the index only ever
-		// holds the window being cut (and retains member-list capacity
-		// across windows).
-		for i := range in.Txns {
-			index.Add(in.Txns[i].ID, in.Txns[i].Objects)
-		}
-		h := depgraph.BuildOpts(in, nil, depgraph.Options{Index: index})
-		local := h.GreedyColor(h.OrderByNode(in))
-		for i := range in.Txns {
-			index.Remove(in.Txns[i].ID, in.Txns[i].Objects)
-		}
-
-		// List-schedule in coloring order (colors, then IDs): each
-		// transaction takes the earliest step after the cut boundary
-		// that its objects can reach it and its node is free. Arrivals
-		// need no explicit constraint: every member arrived ≤ clock, so
-		// t ≥ clock+1 > its arrival.
-		order := make([]int, len(h.IDs))
-		for i := range order {
-			order[i] = i
-		}
-		slices.SortFunc(order, func(a, b int) int {
-			if c := cmp.Compare(local[a], local[b]); c != 0 {
-				return c
-			}
-			return cmp.Compare(h.IDs[a], h.IDs[b])
-		})
-		s := schedule.New(in.NumTxns())
-		windowEnd := clock
-		for _, i := range order {
-			txn := &in.Txns[h.IDs[i]]
-			t := chain.Earliest(txn, clock+1)
-			s.Times[txn.ID] = t
-			chain.Commit(txn, t)
-			if t > windowEnd {
-				windowEnd = t
-			}
-		}
-
-		// Independent feasibility cross-check (the same rule windows.Run
-		// checks): handoff chains and per-node commit ordering across
-		// every window so far.
-		if err := checker.Check(in, s); err != nil {
-			return fail(fmt.Errorf("stream: window %d infeasible: %w", res.Windows, err))
-		}
-
-		// Window accounting: latency (cut → last commit), per-member
-		// response times, communication cost, and the determinism
-		// digest over (seq, commit) pairs.
-		responses := make([]int64, len(cut))
-		for i, it := range cut {
-			r := s.Times[in.Txns[i].ID] - it.Arrive
-			responses[i] = r
-			totalResp += float64(r)
-			if r > res.MaxResponse {
-				res.MaxResponse = r
-			}
-			hash64(int64(it.Seq), s.Times[in.Txns[i].ID])
-		}
-		res.CommCost += s.CommCost(in)
-		col.StreamWindow(len(cut), windowEnd-clock, responses)
-		res.WindowSizes = append(res.WindowSizes, len(cut))
-
-		cancelC := ctx.Done()
-		if drainOnCancel {
-			cancelC = nil // block until the executor frees a slot
-		}
-		select {
-		case jobs <- windowJob{index: res.Windows, in: in, sched: s, size: len(cut), cutClock: clock, plannedEnd: windowEnd}:
-		case <-cancelC:
-			return fail(ctx.Err())
-		}
-		res.Windows++
-		clock = windowEnd
-	}
-
-	close(jobs)
-	execWG.Wait()
-	if faultsOn {
-		for oc := range resCh {
-			handleOutcome(oc)
+		if len(cut) < s.cfg.MaxWindow && !inWindow[q.it.Node] {
+			inWindow[q.it.Node] = true
+			cut = append(cut, q.it)
+		} else {
+			rest = append(rest, q)
 		}
 	}
-	if execErr != nil {
-		return nil, execErr
+	s.queue = rest
+	if s.faultsOn {
+		backlog := 0
+		for _, q := range s.queue {
+			if q.attempts > 0 {
+				backlog++
+			}
+		}
+		s.res.RequeuePeak = max(s.res.RequeuePeak, backlog)
+		if requeuedNow > 0 || shedNow > 0 {
+			s.cfg.Collector.StreamRequeue(requeuedNow, backlog)
+			s.cfg.Collector.StreamShed(shedNow)
+		}
 	}
-	res.Committed = committed
-	res.Clock = clock
+	return cut
+}
+
+// skip handles a cut that came out empty because everything eligible was
+// requeued or shed (only possible under faults): it advances the clock to
+// the next event — the earliest retry, or the next arrival if the queue
+// has room for it — instead of cutting an empty window. Bounded retries
+// guarantee progress even against a permanently down node. An empty
+// queue is left to the loop top's drain and idle jump.
+func (s *server) skip() {
+	if len(s.queue) == 0 {
+		return
+	}
+	next := s.queue[0].retryAt
+	for _, q := range s.queue[1:] {
+		next = min(next, q.retryAt)
+	}
+	if len(s.queue) < s.cfg.QueueCap && s.pending != nil && s.pending.Arrive < next {
+		next = s.pending.Arrive
+	}
+	s.clock = max(next, s.clock+1)
+}
+
+// place schedules a cut window. Its shadow instance holds the window's
+// transactions with object homes frozen at the current release
+// positions, so the engine's replay sees exactly the handoff state
+// placement used (the homes are a copy because the loop keeps advancing
+// the chain while the executor runs). windows.Place list-schedules it
+// after the clock — every member arrived ≤ clock, so t ≥ clock+1 > its
+// arrival — and the checker chain checks it once against Definition 1
+// across every window so far, pricing it in the same walk. place then
+// records the window's responses, cost and digest entries.
+func (s *server) place(cut []Item) (windowJob, error) {
+	txns := make([]tm.Txn, len(cut))
+	for i, it := range cut {
+		txns[i] = tm.Txn{Node: it.Node, Objects: it.Objects}
+	}
+	in := tm.NewInstance(s.cfg.G, s.cfg.Metric, s.cfg.NumObjects, txns, s.chain.Holders())
+	sched, end := windows.Place(s.chain, s.index, in, s.clock+1)
+	cost, err := s.checker.Check(in, sched)
+	if err != nil {
+		return windowJob{}, fmt.Errorf("stream: window %d infeasible: %w", s.res.Windows, err)
+	}
+	responses := make([]int64, len(cut))
+	for i, it := range cut {
+		t := sched.Times[in.Txns[i].ID]
+		r := t - it.Arrive
+		responses[i] = r
+		s.totalResp += float64(r)
+		s.res.MaxResponse = max(s.res.MaxResponse, r)
+		s.hash64(int64(it.Seq), t)
+	}
+	s.res.CommCost += cost
+	s.cfg.Collector.StreamWindow(len(cut), end-s.clock, responses)
+	s.res.WindowSizes = append(s.res.WindowSizes, len(cut))
+	return windowJob{index: s.res.Windows, in: in, sched: sched, cutClock: s.clock, plannedEnd: end}, nil
+}
+
+// submit hands a placed window to the executor and moves the clock to
+// the window's last commit. Under CancelDrain it waits for a free slot
+// even after cancellation, so every admitted window still runs.
+func (s *server) submit(wj windowJob) error {
+	cancelC := s.ctx.Done()
+	if s.cfg.OnCancel == CancelDrain {
+		cancelC = nil
+	}
+	select {
+	case s.jobs <- wj:
+	case <-cancelC:
+		return s.ctx.Err()
+	}
+	s.res.Windows++
+	s.clock = wj.plannedEnd
+	return nil
+}
+
+// start launches the executor goroutine, which runs every window in
+// turn while the loop cuts the next ones. Under faults it reports each
+// window's outcome on a FIFO channel the loop drains at fixed
+// deterministic points (before cutting window w it has consumed the
+// outcomes of windows ≤ w − PipelineDepth).
+func (s *server) start() {
+	ctx := s.ctx
+	if s.cfg.OnCancel == CancelDrain {
+		ctx = context.WithoutCancel(ctx)
+	}
+	s.execWG.Add(1)
+	go func() {
+		defer s.execWG.Done()
+		if s.outcomes != nil {
+			defer close(s.outcomes)
+		}
+		for wj := range s.jobs {
+			oc := s.execute(ctx, wj)
+			if s.outcomes != nil {
+				s.outcomes <- oc
+			}
+		}
+	}()
+}
+
+// execute runs one window through the engine, with the batch layer's
+// retry and deadline policies, on the executor goroutine itself (RunBatch
+// runs its one worker on the caller). After a failure it runs no further
+// windows but still reports their neutral outcomes.
+func (s *server) execute(ctx context.Context, wj windowJob) windowOutcome {
+	oc := windowOutcome{index: wj.index, inflation: 1}
+	if s.execErr != nil {
+		return oc
+	}
+	job := engine.Job{
+		Name:           fmt.Sprintf("stream/w%d", wj.index),
+		Instance:       wj.in,
+		Schedule:       wj.sched,
+		Algorithm:      "stream/window",
+		Verify:         s.cfg.Verify,
+		SkipLowerBound: true,
+	}
+	if s.faultsOn {
+		job.Faults = s.cfg.Faults
+	}
+	results, err := engine.RunBatch(ctx, []engine.Job{job}, engine.Options{
+		Workers:   1,
+		Hook:      s.cfg.Hook,
+		Collector: s.cfg.Collector,
+		Deadline:  s.cfg.Deadline,
+		Retry:     s.cfg.Retry,
+	})
+	if err == nil {
+		err = results[0].Err
+	}
+	if err != nil {
+		s.execErr = fmt.Errorf("stream: window %d execution failed: %w", wj.index, err)
+		return oc
+	}
+	s.committed += int64(wj.in.NumTxns())
+	s.cfg.Collector.StreamCommit(wj.in.NumTxns())
+	if fr := results[0].Report.Fault; fr != nil && wj.plannedEnd > wj.cutClock {
+		oc.inflation = max(1, float64(fr.Makespan-wj.cutClock)/float64(wj.plannedEnd-wj.cutClock))
+		oc.degraded = fr.Makespan > wj.plannedEnd
+	}
+	return oc
+}
+
+// handleOutcome feeds one window's outcome to the circuit breaker.
+func (s *server) handleOutcome(oc windowOutcome) {
+	s.reported++
+	s.sumInfl += oc.inflation
+	if oc.degraded {
+		s.res.DegradedWindows++
+	}
+	s.cfg.Collector.StreamFaultWindow(oc.inflation, oc.degraded)
+	s.inflHist = append(s.inflHist, oc.inflation)
+	if len(s.inflHist) > s.cfg.BreakerWindow {
+		s.inflHist = s.inflHist[1:]
+	}
+	var mean float64
+	for _, v := range s.inflHist {
+		mean += v
+	}
+	mean /= float64(len(s.inflHist))
+	switch {
+	case !s.breakerOpen && mean >= s.cfg.InflationTrip:
+		s.breakerOpen = true
+		s.res.BreakerTrips++
+		s.cfg.Collector.StreamBreaker(true)
+		s.hash64(digestBreaker, int64(oc.index), 1)
+	case s.breakerOpen && mean <= s.cfg.InflationReset:
+		s.breakerOpen = false
+		s.res.BreakerRecoveries++
+		s.cfg.Collector.StreamBreaker(false)
+		s.hash64(digestBreaker, int64(oc.index), 0)
+	}
+}
+
+// hash64 appends little-endian words to the run digest.
+func (s *server) hash64(vs ...int64) {
+	var buf [8]byte
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		s.digest.Write(buf[:])
+	}
+}
+
+// finish runs after the executor has exited: it consumes the remaining
+// outcomes and fills in the summary.
+func (s *server) finish() (*Result, error) {
+	if s.outcomes != nil {
+		for oc := range s.outcomes {
+			s.handleOutcome(oc)
+		}
+	}
+	if s.execErr != nil {
+		return nil, s.execErr
+	}
+	res := s.res
+	res.Committed = s.committed
+	res.Clock = s.clock
 	if res.Committed > 0 {
-		res.MeanResponse = totalResp / float64(res.Committed)
+		res.MeanResponse = s.totalResp / float64(res.Committed)
 	}
 	if res.Clock > 0 {
 		res.Throughput = float64(res.Committed) / float64(res.Clock)
 	}
-	if outcomes > 0 {
-		res.MeanInflation = sumInfl / float64(outcomes)
+	if s.reported > 0 {
+		res.MeanInflation = s.sumInfl / float64(s.reported)
 	}
-	res.Digest = digest.Sum64()
+	res.Digest = s.digest.Sum64()
 	return res, nil
 }

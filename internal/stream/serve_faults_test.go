@@ -260,6 +260,7 @@ func TestServeConfigValidate(t *testing.T) {
 		{"neg-queue", "QueueCap", func(c *Config) { c.QueueCap = -2 }},
 		{"neg-depth", "PipelineDepth", func(c *Config) { c.PipelineDepth = -1 }},
 		{"bad-policy", "Policy", func(c *Config) { c.Policy = Policy(7) }},
+		{"bad-verify", "Verify", func(c *Config) { c.Verify = engine.VerifyMode(5) }},
 		{"neg-deadline", "Deadline", func(c *Config) { c.Deadline = -time.Second }},
 		{"bad-cancel", "OnCancel", func(c *Config) { c.OnCancel = CancelPolicy(9) }},
 		{"neg-requeue", "MaxRequeue", func(c *Config) { c.MaxRequeue = -1 }},

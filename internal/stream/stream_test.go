@@ -8,6 +8,7 @@ import (
 	"dtmsched/internal/engine"
 	"dtmsched/internal/graph"
 	"dtmsched/internal/obs"
+	"dtmsched/internal/schedule"
 	"dtmsched/internal/tm"
 	"dtmsched/internal/topology"
 	"dtmsched/internal/xrand"
@@ -310,4 +311,81 @@ func (it *sliceIter) Next() (Item, bool) {
 	}
 	it.next++
 	return it.items[it.next-1], true
+}
+
+// servedWindows runs cfg's serving loop (faults off) against a stub
+// executor that only collects the placed windows, in cut order.
+func servedWindows(t *testing.T, cfg Config) []windowJob {
+	t.Helper()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	s := newServer(context.Background(), cfg)
+	var got []windowJob
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for wj := range s.jobs {
+			got = append(got, wj)
+		}
+	}()
+	err := s.loop()
+	close(s.jobs)
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestChainCheckSubsumesShadowValidate: every single-transaction time
+// change to a served window that Validate on the window's shadow
+// instance rejects, the loop's cross-window chain check rejects too. The
+// shadow instance starts every object at step 0 and every node idle, so
+// the chain check is the stronger one, and dropping the engine's Validate
+// for VerifyFast windows loses no check; some changes only the chain
+// check catches.
+func TestChainCheckSubsumesShadowValidate(t *testing.T) {
+	for _, cfg := range []Config{serveConfig(t, 16, 6, 2, 120, 0.6, 43), lineServeConfig(t, 10, 60, 0.5, 44)} {
+		wins := servedWindows(t, cfg)
+		var both, chainOnly int
+		for w, wj := range wins {
+			// before returns a chain checked through windows 0..w−1.
+			before := func() *schedule.Chain {
+				c := schedule.NewChain(cfg.Metric, cfg.G.NumNodes(), cfg.Home)
+				for _, prev := range wins[:w] {
+					if _, err := c.Check(prev.in, prev.sched); err != nil {
+						t.Fatalf("window %d: served schedule rejected: %v", prev.index, err)
+					}
+				}
+				return c
+			}
+			for i, old := range wj.sched.Times {
+				steps := append([]int64{0, 1, old - 2, old - 1, old + 1}, wj.sched.Times...)
+				for _, step := range steps {
+					if step == old {
+						continue
+					}
+					m := wj.sched.Clone()
+					m.Times[i] = step
+					shadowErr := m.Validate(wj.in)
+					_, chainErr := before().Check(wj.in, m)
+					switch {
+					case shadowErr != nil && chainErr == nil:
+						t.Fatalf("window %d: txn %d moved %d→%d: shadow Validate rejects (%v), chain check accepts",
+							w, i, old, step, shadowErr)
+					case shadowErr != nil:
+						both++
+					case chainErr != nil:
+						chainOnly++
+					}
+				}
+			}
+		}
+		t.Logf("%d windows: %d changes rejected by both checks, %d by the chain check alone", len(wins), both, chainOnly)
+		if both == 0 || chainOnly == 0 {
+			t.Fatalf("%d windows: %d changes rejected by both checks, %d by the chain check alone; want both kinds",
+				len(wins), both, chainOnly)
+		}
+	}
 }

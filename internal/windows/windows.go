@@ -75,10 +75,8 @@ type Result struct {
 // Run schedules the sequence window by window. With pipelined = false, a
 // global barrier separates windows: each window takes the §2.3 greedy
 // coloring shifted past the previous window's completion. With pipelined
-// = true, transactions are list-scheduled across window boundaries in
-// coloring order: each starts at the earliest step its own objects and
-// node allow, so a window's cold transactions overlap the previous
-// window's stragglers.
+// = true, each window is list-scheduled by Place from step 1, so a
+// window's cold transactions overlap the previous window's stragglers.
 func Run(seq *Sequence, pipelined bool) (*Result, error) {
 	mode := "barrier"
 	if pipelined {
@@ -92,76 +90,82 @@ func Run(seq *Sequence, pipelined bool) (*Result, error) {
 	// surfaces as an error instead of an infeasible sequence.
 	chain := schedule.NewChain(seq.Metric, seq.G.NumNodes(), seq.Home)
 	checker := schedule.NewChain(seq.Metric, seq.G.NumNodes(), seq.Home)
+	index := tm.NewConflictIndex(seq.NumObjects)
 	var clock int64
 
-	// One mutable conflict index is reused across the whole sequence:
-	// window i's members are deregistered and window i+1's registered in
-	// place, so the per-window dependency graphs are built without
-	// re-deriving object memberships (or reallocating member lists) from
-	// scratch each window.
-	index := tm.NewConflictIndex(seq.NumObjects)
-	var prev *tm.Instance
-
 	for wi, in := range seq.Windows {
-		if prev != nil {
-			for i := range prev.Txns {
-				index.Remove(prev.Txns[i].ID, prev.Txns[i].Objects)
-			}
-		}
-		for i := range in.Txns {
-			index.Add(in.Txns[i].ID, in.Txns[i].Objects)
-		}
-		prev = in
-		h := depgraph.BuildOpts(in, nil, depgraph.Options{Index: index})
-		local := h.GreedyColor(h.OrderByNode(in))
-
-		s := schedule.New(in.NumTxns())
+		var s *schedule.Schedule
 		var windowEnd int64
-		place := func(id tm.TxnID, t int64) {
-			s.Times[id] = t
-			chain.Commit(&in.Txns[id], t)
-			if t > windowEnd {
-				windowEnd = t
-			}
-		}
 		if pipelined {
-			// Cross-window list scheduling: process this window's
-			// transactions in coloring order (colors, then IDs); each
-			// takes the earliest step after its objects can arrive and
-			// its node is free.
-			order := make([]int, len(h.IDs))
-			for i := range order {
-				order[i] = i
-			}
-			slices.SortFunc(order, func(a, b int) int {
-				if c := cmp.Compare(local[a], local[b]); c != 0 {
-					return c
-				}
-				return cmp.Compare(h.IDs[a], h.IDs[b])
-			})
-			for _, i := range order {
-				id := h.IDs[i]
-				place(id, chain.Earliest(&in.Txns[id], 1))
-			}
+			s, windowEnd = Place(chain, index, in, 1)
 		} else {
 			// Barrier: the coloring shifted by one offset past the clock
 			// and the exact object and node constraints.
-			delta := chain.Offset(in, h.IDs, local, clock)
-			for i, id := range h.IDs {
-				place(id, local[i]+delta)
+			ids, local := color(index, in)
+			delta := chain.Offset(in, ids, local, clock)
+			s = schedule.New(in.NumTxns())
+			for i, id := range ids {
+				t := local[i] + delta
+				s.Times[id] = t
+				chain.Commit(&in.Txns[id], t)
+				windowEnd = max(windowEnd, t)
 			}
 		}
-		if windowEnd > clock {
-			clock = windowEnd
-		}
-		if err := checker.Check(in, s); err != nil {
+		clock = max(clock, windowEnd)
+		if _, err := checker.Check(in, s); err != nil {
 			return nil, fmt.Errorf("windows: window %d: %s mode cross-check failed: %w", wi, mode, err)
 		}
 		res.PerWindow = append(res.PerWindow, s)
 		res.WindowEnd = append(res.WindowEnd, windowEnd)
-		if windowEnd > res.Makespan {
-			res.Makespan = windowEnd
-		}
+		res.Makespan = max(res.Makespan, windowEnd)
 	}
 	return res, nil
+}
+
+// Place list-schedules window in on chain: it colors the window's
+// dependency graph, then gives each transaction, in (color, ID) order,
+// the earliest step at or after floor that its objects can reach it and
+// its node is free, and commits it to the chain. It returns the schedule
+// and its last step (floor − 1 for an empty window).
+//
+// index must track in's object space and hold no members; Place leaves
+// it empty again, keeping its member-list capacity for the next window.
+func Place(chain *schedule.Chain, index *tm.ConflictIndex, in *tm.Instance, floor int64) (*schedule.Schedule, int64) {
+	ids, local := color(index, in)
+	order := make([]int, len(ids))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(local[a], local[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(ids[a], ids[b])
+	})
+	s := schedule.New(in.NumTxns())
+	end := floor - 1
+	for _, i := range order {
+		txn := &in.Txns[ids[i]]
+		t := chain.Earliest(txn, floor)
+		s.Times[txn.ID] = t
+		chain.Commit(txn, t)
+		end = max(end, t)
+	}
+	return s, end
+}
+
+// color builds window in's dependency graph over the mutable index —
+// registering its members, building, deregistering — and colors it
+// greedily in node order. Cross-window constraints ride on the chain,
+// not on index edges, so the index only ever holds one window.
+func color(index *tm.ConflictIndex, in *tm.Instance) ([]tm.TxnID, []int64) {
+	for i := range in.Txns {
+		index.Add(in.Txns[i].ID, in.Txns[i].Objects)
+	}
+	h := depgraph.BuildOpts(in, nil, depgraph.Options{Index: index})
+	local := h.GreedyColor(h.OrderByNode(in))
+	for i := range in.Txns {
+		index.Remove(in.Txns[i].ID, in.Txns[i].Objects)
+	}
+	return h.IDs, local
 }

@@ -129,9 +129,21 @@ echo "== streaming service guards =="
 # invariant), backpressure is exercised in both policies, the
 # cross-window schedule.Chain check accepts both windows.Run modes and
 # rejects corrupted schedules, and the cutter/executor overlap is
-# race-clean.
+# race-clean. One check per served window: the cost Chain.Check returns
+# equals Schedule.CommCost and the simulator's on every topology family,
+# and every change to a served window that Validate on its shadow
+# instance rejects, the cross-window chain check rejects too. The
+# serve-clean benchmark must at least compile and run (1 iteration
+# smoke), and FuzzServe runs a fixed budget over decoded configs (its
+# seed corpus in internal/stream/testdata/fuzz runs in every go test).
 go test ./internal/schedule -run 'TestChain' -count=1
+go test ./internal/stream -run 'TestChainCheckSubsumesShadowValidate' -count=1
 go test -race ./internal/stream -count=1
+go test ./internal/stream -run '^$' -bench 'BenchmarkServeClean' -benchmem -benchtime 1x -count=1 >/dev/null
+fuzz_out=$(go test ./internal/stream -run '^$' -fuzz '^FuzzServe$' -fuzztime 15s -parallel 2 2>&1) || {
+    echo "$fuzz_out" >&2
+    exit 1
+}
 
 echo "== serve-mode smoke =="
 # Drain a fixed seeded stream through the CLI twice: counts must be
